@@ -32,11 +32,10 @@ test:
 race:
 	go test -race ./...
 
-# Full benchmark run: every Go benchmark, then the A/B harnesses writing
-# their JSON baselines (the files EXPERIMENTS.md quotes).
+# Full benchmark run: every Go benchmark, then the harnesses writing their
+# JSON baselines (the files EXPERIMENTS.md quotes).
 bench:
 	go test -bench=. -benchmem ./...
-	go run ./cmd/mpid-bench -o BENCH_shuffle.json
 	go run ./cmd/mpid-bench -suite mpid -o BENCH_mpid.json
 	go run ./cmd/mpid-bench -suite serve -o BENCH_serve.json
 	go run ./cmd/mpid-bench -suite workloads -o BENCH_workloads.json
@@ -45,19 +44,19 @@ bench:
 
 # One iteration of every benchmark — a CI smoke test that the bench code
 # still compiles and runs, without the timing noise of a real bench run —
-# plus seconds-scale A/B runs producing the BENCH_shuffle.json,
-# BENCH_mpid.json, BENCH_serve.json, BENCH_workloads.json,
-# BENCH_shufflebytes.json and BENCH_transport.json CI artifacts.
+# plus seconds-scale runs producing the BENCH_mpid.json, BENCH_serve.json,
+# BENCH_workloads.json, BENCH_shufflebytes.json and BENCH_transport.json
+# CI artifacts.
 # Regression gate: re-run each suite's smoke config and compare the
-# scale-free headline ratios (speedups, fairness) against the committed
-# BENCH_*.json baselines within a wide tolerance. Non-fatal in CI — a
-# smoke run on shared hardware reports drift, it doesn't block merges.
+# scale-free headline metrics (speedups, fairness, byte ratios, allocs)
+# against the committed BENCH_*.json baselines within a wide tolerance.
+# Non-fatal in CI — a smoke run on shared hardware reports drift, it
+# doesn't block merges.
 bench-check:
 	go run ./cmd/mpid-bench -check
 
 bench-smoke:
 	go test -bench=. -benchtime=1x ./...
-	go run ./cmd/mpid-bench -smoke -o BENCH_shuffle.json
 	go run ./cmd/mpid-bench -suite mpid -smoke -o BENCH_mpid.json
 	go run ./cmd/mpid-bench -suite serve -smoke -o BENCH_serve.json
 	go run ./cmd/mpid-bench -suite workloads -smoke -o BENCH_workloads.json

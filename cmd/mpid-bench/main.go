@@ -1,13 +1,9 @@
-// Command mpid-bench runs the committed A/B baselines:
-//
-//   - suite "shuffle": the reduce-side shuffle engine benchmark — the
-//     legacy buffer-then-sort engine against the pipelined run/merge
-//     engine (internal/shuffle) — written as BENCH_shuffle.json.
+// Command mpid-bench runs the committed benchmark baselines:
 //
 //   - suite "mpid": the MPI-D core benchmark — the same live WordCount
-//     through the optimized core (arena send buffer, pooled transport,
-//     streaming receive merge), the legacy core (LegacySend+LegacyGroup)
-//     and the real mini-Hadoop engine — written as BENCH_mpid.json.
+//     through the MPI-D core (arena send buffer, pooled transport,
+//     streaming receive merge) and the real mini-Hadoop engine — written
+//     as BENCH_mpid.json.
 //
 //   - suite "serve": the job-service soak — a swarm of concurrent tenant
 //     clients submitting WordCount jobs through mpid-serve's RPC
@@ -16,8 +12,8 @@
 //
 //   - suite "workloads": the full workload suite — WordCount, TeraSort
 //     (uniform and Zipf-skewed keys), inverted index, grep, two-table
-//     join, chained multi-round PageRank — each run on the fast MPI-D
-//     core, legacy core and mini-Hadoop engine, gated on byte-identical
+//     join, chained multi-round PageRank — each run on the MPI-D core
+//     and the mini-Hadoop engine, gated on byte-identical
 //     output before timing, reporting per-workload p50 times and shuffle
 //     bytes — written as BENCH_workloads.json.
 //
@@ -31,14 +27,13 @@
 //     BENCH_shufflebytes.json.
 //
 //   - suite "transport": the transport raw-speed sweep — the in-process
-//     chan baseline, the shared-memory-style ring, legacy-framed TCP and
-//     vectored (writev) TCP, each gated on byte-identical WordCount
+//     chan baseline and vectored (writev) TCP, each gated on
+//     byte-identical WordCount
 //     output first, then swept across message sizes for one-way latency
 //     percentiles, streaming bandwidth and allocations per round trip —
 //     written as BENCH_transport.json.
 //
-//     mpid-bench -o BENCH_shuffle.json                        full shuffle baseline
-//     mpid-bench -suite mpid -o BENCH_mpid.json               full MPI-D core baseline
+//     mpid-bench -o BENCH_mpid.json                           full MPI-D core baseline
 //     mpid-bench -suite serve -o BENCH_serve.json             full job-service soak
 //     mpid-bench -suite workloads -o BENCH_workloads.json     full workload suite
 //     mpid-bench -suite shufflebytes -o BENCH_shufflebytes.json  full shuffle-byte baseline
@@ -47,14 +42,14 @@
 //     mpid-bench -check                                       regression gate vs committed baselines
 //
 // -check re-runs every suite's smoke configuration and compares the
-// scale-free headline ratios (speedups, fairness ratio) against the
-// committed BENCH_*.json files in -dir, failing if any drifts beyond
-// -tolerance (default 50% — smoke-scale runs on shared CI hardware are a
-// smoke detector for "the optimization stopped working", not a precision
-// benchmark). Suites without a committed baseline are skipped.
+// scale-free headline metrics (speedups, fairness ratio, byte ratios,
+// allocations per round trip) against the committed BENCH_*.json files in
+// -dir, failing if any drifts beyond -tolerance (default 50% — smoke-scale
+// runs on shared CI hardware are a smoke detector for "the optimization
+// stopped working", not a precision benchmark) or breaks an absolute
+// invariant. Suites without a committed baseline are skipped.
 //
-// Flags override individual workload knobs (shuffle: -maps, -reducers,
-// -keys, -vocab, -copiers, -factor; mpid: -size, -reducers, -vocab;
+// Flags override individual workload knobs (mpid: -size, -reducers, -vocab;
 // serve: -tenants, -jobs, -slots, -queue, -size, -reducers; workloads:
 // -mappers, -rounds; shufflebytes: -mappers; transport: -reps, -seed;
 // common: -reps, -seed). Each suite validates output
@@ -72,15 +67,11 @@ import (
 )
 
 func main() {
-	suite := flag.String("suite", "shuffle", "benchmark suite: shuffle | mpid | serve | workloads | shufflebytes | transport")
-	out := flag.String("o", "", "write the result JSON to this file (e.g. BENCH_shuffle.json)")
+	suite := flag.String("suite", "mpid", "benchmark suite: mpid | serve | workloads | shufflebytes | transport")
+	out := flag.String("o", "", "write the result JSON to this file (e.g. BENCH_mpid.json)")
 	smoke := flag.Bool("smoke", false, "use the seconds-scale smoke configuration")
-	maps := flag.Int("maps", 0, "shuffle: map segments per reducer")
-	reducers := flag.Int("reducers", 0, "override: concurrent reducers")
-	keys := flag.Int("keys", 0, "shuffle: distinct keys per segment")
-	vocab := flag.Int("vocab", 0, "override: distinct-key universe")
-	copiers := flag.Int("copiers", 0, "shuffle: parallel feeders per reducer")
-	factor := flag.Int("factor", 0, "shuffle: merge fan-in (io.sort.factor)")
+	reducers := flag.Int("reducers", 0, "override: reducer count")
+	vocab := flag.Int("vocab", 0, "mpid: distinct-key universe")
 	size := flag.Int64("size", 0, "mpid/serve: input size in bytes")
 	tenants := flag.Int("tenants", 0, "serve: submitting tenants")
 	jobs := flag.Int("jobs", 0, "serve: jobs per tenant")
@@ -108,43 +99,6 @@ func main() {
 	}
 
 	switch *suite {
-	case "shuffle":
-		cfg := experiments.DefaultShuffleBench()
-		if *smoke {
-			cfg = experiments.SmokeShuffleBench()
-		}
-		if *maps > 0 {
-			cfg.Maps = *maps
-		}
-		if *reducers > 0 {
-			cfg.Reducers = *reducers
-		}
-		if *keys > 0 {
-			cfg.KeysPerMap = *keys
-		}
-		if *vocab > 0 {
-			cfg.Vocab = *vocab
-		}
-		if *copiers > 0 {
-			cfg.Copiers = *copiers
-		}
-		if *factor > 0 {
-			cfg.MergeFactor = *factor
-		}
-		if *reps > 0 {
-			cfg.Reps = *reps
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		res, err := experiments.RunShuffleBench(cfg)
-		if err != nil {
-			fail(err)
-		}
-		res.Timestamp = time.Now().UTC().Format(time.RFC3339)
-		fmt.Print(experiments.RenderShuffleBench(res))
-		write(*out, func() ([]byte, error) { return experiments.MarshalShuffleBench(res) })
-
 	case "mpid":
 		cfg := experiments.DefaultMPIDBench()
 		if *smoke {
@@ -268,7 +222,7 @@ func main() {
 		write(*out, func() ([]byte, error) { return experiments.MarshalTransportBench(res) })
 
 	default:
-		fail(fmt.Errorf("unknown suite %q (want shuffle, mpid, serve, workloads, shufflebytes or transport)", *suite))
+		fail(fmt.Errorf("unknown suite %q (want mpid, serve, workloads, shufflebytes or transport)", *suite))
 	}
 }
 

@@ -124,7 +124,7 @@ func TestDocSections(t *testing.T) {
 			"## 13. Shuffle-byte reduction",
 			"## 14. Transport raw speed",
 			"NodeCombine", "NodeArena", "Mcast", "mapred.combiner.fallback",
-			"NewRingWorld", "CopyPayloads", "LegacyFraming", "PutFile",
+			"PutFile",
 		},
 		"EXPERIMENTS.md": {
 			"## Extension — Workload suite",
@@ -135,7 +135,8 @@ func TestDocSections(t *testing.T) {
 			"### BENCH_transport.json schema",
 			"### Figure 6 (coded)",
 			"coded-r1", "mpid-nodearena", "hadoop-nodecombine",
-			"ring_vs_chan_small_p50", "max_allocs_per_op",
+			"max_allocs_per_op",
+			"## Retired A/B paths",
 		},
 		"ARCHITECTURE.md": {
 			"**`internal/coded`**",
@@ -143,10 +144,10 @@ func TestDocSections(t *testing.T) {
 			"Mcast", "CodedReplication",
 			"shuffle-byte reduction (ext.)",
 			"transport raw speed (ext.)",
-			"NewRingWorld", "TCPOptions.LegacyFraming", "Store.PutFile",
+			"Store.PutFile",
 		},
 		"README.md": {
-			"BENCH_shuffle.json", "BENCH_mpid.json", "BENCH_serve.json",
+			"BENCH_mpid.json", "BENCH_serve.json",
 			"BENCH_workloads.json", "BENCH_shufflebytes.json",
 			"BENCH_transport.json",
 			"-suite shufflebytes", "-suite transport",

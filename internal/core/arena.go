@@ -5,11 +5,12 @@ import (
 	"sort"
 )
 
-// arenaBuffer is the allocation-conscious mapper-side hash table (§IV.A).
-// Where the legacy hashBuffer pays one allocation per buffered pair (the
-// value copy), one per new key (the map key string) and a map rebuild per
-// spill, the arena keeps everything in four flat slices that are reset —
-// not reallocated — between spills:
+// arenaBuffer is the mapper-side hash table of §IV.A: Send buffers pairs
+// here, grouped by key, so the combiner can merge values locally before
+// anything is serialized or transmitted. Rather than a Go map with one
+// allocation per buffered pair (the value copy) and one per new key, the
+// arena keeps everything in four flat slices that are reset — not
+// reallocated — between spills:
 //
 //	keyArena  all key bytes, appended back to back
 //	valArena  all value bytes, appended back to back

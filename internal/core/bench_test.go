@@ -11,8 +11,8 @@ import (
 )
 
 // Micro-benchmarks for the MPI-D hot path. Run with -benchmem (ReportAllocs
-// is set regardless) and compare the arena/merged sub-benchmarks against
-// their legacy siblings: the allocs/op column is the contract.
+// is set regardless): the allocs/op column is the contract, pinned by the
+// AllocsPerRun tests in alloc_test.go.
 
 // benchKeys is a mixed workload: one hot key, a warm band, a cold tail.
 func benchKeys(n int) [][]byte {
@@ -33,28 +33,17 @@ func benchKeys(n int) [][]byte {
 // BenchmarkSend measures buffering one pair (the Send fast path minus the
 // MPI world), including the incremental combiner and the spill-cycle reset.
 func BenchmarkSend(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() sendBuffer
-	}{
-		{"arena", func() sendBuffer { return newArenaBuffer() }},
-		{"legacy", func() sendBuffer { return newHashBuffer() }},
-	}
-	for _, impl := range impls {
-		b.Run(impl.name, func(b *testing.B) {
-			buf := impl.mk()
-			keys := benchKeys(4096)
-			value := kv.AppendVLong(nil, 1)
-			b.ReportAllocs()
-			b.SetBytes(int64(len(value) + 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.add(keys[i%len(keys)], value, sumCombiner)
-				if buf.bytes() >= 1<<20 {
-					buf.reset()
-				}
-			}
-		})
+	buf := newArenaBuffer()
+	keys := benchKeys(4096)
+	value := kv.AppendVLong(nil, 1)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(value) + 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.add(keys[i%len(keys)], value, sumCombiner)
+		if buf.bytes() >= 1<<20 {
+			buf.reset()
+		}
 	}
 }
 
@@ -62,41 +51,39 @@ func BenchmarkSend(b *testing.B) {
 // serialize them partition-by-partition in sorted key order into retained
 // buffers, reset. This is spill() minus the transport.
 func BenchmarkSpill(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() sendBuffer
-	}{
-		{"arena", func() sendBuffer { return newArenaBuffer() }},
-		{"legacy", func() sendBuffer { return newHashBuffer() }},
+	buf := newArenaBuffer()
+	keys := benchKeys(4096)
+	value := kv.AppendVLong(nil, 1)
+	parts := make([][]byte, spillBenchParts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fillAndSpill(buf, keys, value, parts); err != nil {
+			b.Fatal(err)
+		}
 	}
-	const nParts = 4
-	for _, impl := range impls {
-		b.Run(impl.name, func(b *testing.B) {
-			buf := impl.mk()
-			keys := benchKeys(4096)
-			value := kv.AppendVLong(nil, 1)
-			parts := make([][]byte, nParts)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, k := range keys {
-					buf.add(k, value, sumCombiner)
-				}
-				for p := range parts {
-					parts[p] = parts[p][:0]
-				}
-				err := buf.forEachSorted(func(key []byte, values [][]byte) error {
-					p := HashPartitioner(key, nParts)
-					parts[p] = kv.AppendKeyList(parts[p], kv.KeyList{Key: key, Values: values})
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				buf.reset()
-			}
-		})
+}
+
+// spillBenchParts is the partition count of the fill+spill cycle.
+const spillBenchParts = 4
+
+// fillAndSpill buffers one value per key, realigns the buffer into the
+// retained partition buffers in sorted key order, and resets it — one
+// spill cycle minus the transport.
+func fillAndSpill(buf *arenaBuffer, keys [][]byte, value []byte, parts [][]byte) error {
+	for _, k := range keys {
+		buf.add(k, value, sumCombiner)
 	}
+	for p := range parts {
+		parts[p] = parts[p][:0]
+	}
+	err := buf.forEachSorted(func(key []byte, values [][]byte) error {
+		p := HashPartitioner(key, len(parts))
+		parts[p] = kv.AppendKeyList(parts[p], kv.KeyList{Key: key, Values: values})
+		return nil
+	})
+	buf.reset()
+	return err
 }
 
 // genRuns serializes nRuns sorted runs the way spill does, each covering an
@@ -134,63 +121,30 @@ func sortRun(data []byte) []byte {
 	return out
 }
 
-// BenchmarkRecvMerge compares the two grouped drains over identical
-// pre-serialized runs: the legacy buffer-everything map + sort + drain
-// against the streaming ordered k-way merge.
+// BenchmarkRecvMerge drains pre-serialized runs through the grouped
+// receiver's streaming ordered k-way merge.
 func BenchmarkRecvMerge(b *testing.B) {
 	runs := genRuns(24, 512)
 	var total int64
 	for _, r := range runs {
 		total += int64(len(r))
 	}
-
-	b.Run("merged", func(b *testing.B) {
-		pool := bufpool.New()
-		b.ReportAllocs()
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m := shuffle.NewMerger(shuffle.Config{Factor: 10, Ordered: true, Pool: pool})
-			for seq, r := range runs {
-				// The merger may recycle consumed runs into the pool, so
-				// hand it a copy, as the transport would.
-				data := pool.Get(len(r))
-				copy(data, r)
-				m.Add(seq, data)
-			}
-			keys := 0
-			if err := m.Merge(func(kl kv.KeyList) error { keys++; return nil }); err != nil {
-				b.Fatal(err)
-			}
+	pool := bufpool.New()
+	b.ReportAllocs()
+	b.SetBytes(total)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := shuffle.NewMerger(shuffle.Config{Factor: 10, Ordered: true, Pool: pool})
+		for seq, r := range runs {
+			// The merger may recycle consumed runs into the pool, so
+			// hand it a copy, as the transport would.
+			data := pool.Get(len(r))
+			copy(data, r)
+			m.Add(seq, data)
 		}
-	})
-
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			groups := make(map[string][][]byte)
-			var order []string
-			for _, data := range runs {
-				for rest := data; len(rest) > 0; {
-					kl, n, err := kv.ReadKeyList(rest)
-					if err != nil {
-						b.Fatal(err)
-					}
-					k := string(kl.Key)
-					if _, seen := groups[k]; !seen {
-						order = append(order, k)
-					}
-					groups[k] = append(groups[k], kl.Values...)
-					rest = rest[n:]
-				}
-			}
-			sort.Strings(order)
-			for _, k := range order {
-				_ = groups[k]
-				delete(groups, k)
-			}
+		keys := 0
+		if err := m.Merge(func(kl kv.KeyList) error { keys++; return nil }); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }

@@ -102,20 +102,10 @@ type Config struct {
 	// buffer with the given node-shared arena, so the incremental combiner
 	// folds keys across every co-located sender before anything ships —
 	// in-node combining. All co-located senders must receive the same
-	// instance; access is serialized behind its mutex. Incompatible with
-	// LegacySend. See NodeArena for the full semantics.
+	// instance; access is serialized behind its mutex. See NodeArena for
+	// the full semantics.
 	NodeArena *NodeArena
 
-	// LegacySend selects the original map-based send buffer (one
-	// allocation per pair, map rebuilt per spill) instead of the arena
-	// buffer. Kept as the A/B baseline; the two produce byte-identical
-	// spill streams.
-	LegacySend bool
-	// LegacyGroup selects the original grouped receive drain — buffer
-	// every fragment, sort once, drain — instead of the streaming k-way
-	// merge. Kept as the A/B baseline; the two produce byte-identical
-	// Recv streams.
-	LegacyGroup bool
 	// MergeFactor is the grouped receiver's merge fan-in: a background
 	// pass folds the oldest MergeFactor runs whenever that many are
 	// pending. Default 10.
@@ -158,7 +148,7 @@ type D struct {
 	isReducer bool
 
 	// Send side.
-	buf        sendBuffer
+	buf        *arenaBuffer
 	nodeArena  *NodeArena     // shared buffer, when node combining; buf aliases its arena
 	partBufs   [][]byte       // partition buffers retained across spills
 	reuseParts bool           // transport copies payloads, so retaining is safe
@@ -232,16 +222,10 @@ func Init(cfg Config) (*D, error) {
 	d.mergeTimer = cfg.Metrics.Timer("mpid.recv.merge")
 	d.partReuse = cfg.Metrics.Counter("mpid.spill.partbuf.reused")
 	if d.isSender {
-		switch {
-		case cfg.NodeArena != nil:
-			if cfg.LegacySend {
-				return nil, errors.New("mpid: Config.NodeArena requires the arena send buffer (unset LegacySend)")
-			}
+		if cfg.NodeArena != nil {
 			d.nodeArena = cfg.NodeArena
 			d.buf = cfg.NodeArena.attach()
-		case cfg.LegacySend:
-			d.buf = newHashBuffer()
-		default:
+		} else {
 			d.buf = newArenaBuffer()
 		}
 		// Partition buffers may only be retained across spills when the

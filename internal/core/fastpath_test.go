@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 
 // truePayload recomputes a buffer's payload byte count the slow way: each
 // key once plus every buffered value.
-func truePayload(t *testing.T, b sendBuffer) int {
+func truePayload(t *testing.T, b *arenaBuffer) int {
 	t.Helper()
 	total := 0
 	err := b.forEachSorted(func(key []byte, values [][]byte) error {
@@ -35,39 +36,33 @@ func truePayload(t *testing.T, b sendBuffer) int {
 }
 
 func TestSendBufferAccountingAcrossCombineAndSpillCycles(t *testing.T) {
-	impls := map[string]func() sendBuffer{
-		"arena":  func() sendBuffer { return newArenaBuffer() },
-		"legacy": func() sendBuffer { return newHashBuffer() },
-	}
-	for name, mk := range impls {
-		t.Run(name, func(t *testing.T) {
-			b := mk()
-			// Three fill/spill cycles; the hot key crosses combineEvery
-			// several times per cycle, so the incremental combiner's
-			// accounting adjustments are exercised repeatedly.
-			for cycle := 0; cycle < 3; cycle++ {
-				for i := 0; i < 3*combineEvery; i++ {
-					key := []byte(fmt.Sprintf("key-%d", i%5))
-					if i%2 == 0 {
-						key = []byte("hot")
-					}
-					b.add(key, kv.AppendVLong(nil, int64(i%9+1)), sumCombiner)
-					if i%257 == 0 {
-						if got, want := b.bytes(), truePayload(t, b); got != want {
-							t.Fatalf("cycle %d pair %d: bytes() = %d, true payload %d", cycle, i, got, want)
-						}
-					}
+	t.Run("arena", func(t *testing.T) {
+		b := newArenaBuffer()
+		// Three fill/spill cycles; the hot key crosses combineEvery
+		// several times per cycle, so the incremental combiner's
+		// accounting adjustments are exercised repeatedly.
+		for cycle := 0; cycle < 3; cycle++ {
+			for i := 0; i < 3*combineEvery; i++ {
+				key := []byte(fmt.Sprintf("key-%d", i%5))
+				if i%2 == 0 {
+					key = []byte("hot")
 				}
-				if got, want := b.bytes(), truePayload(t, b); got != want {
-					t.Fatalf("cycle %d end: bytes() = %d, true payload %d", cycle, got, want)
-				}
-				b.reset()
-				if b.bytes() != 0 || !b.empty() {
-					t.Fatalf("cycle %d: reset left bytes=%d empty=%v", cycle, b.bytes(), b.empty())
+				b.add(key, kv.AppendVLong(nil, int64(i%9+1)), sumCombiner)
+				if i%257 == 0 {
+					if got, want := b.bytes(), truePayload(t, b); got != want {
+						t.Fatalf("cycle %d pair %d: bytes() = %d, true payload %d", cycle, i, got, want)
+					}
 				}
 			}
-		})
-	}
+			if got, want := b.bytes(), truePayload(t, b); got != want {
+				t.Fatalf("cycle %d end: bytes() = %d, true payload %d", cycle, got, want)
+			}
+			b.reset()
+			if b.bytes() != 0 || !b.empty() {
+				t.Fatalf("cycle %d: reset left bytes=%d empty=%v", cycle, b.bytes(), b.empty())
+			}
+		}
+	})
 }
 
 func TestArenaBufferGrowAndChains(t *testing.T) {
@@ -153,7 +148,7 @@ func TestUnexpectedTagReturnsTypedError(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimized-vs-legacy equivalence (satellite)
+// Recv streams against a sequential oracle
 
 // streamEntry is one Recv result with its bytes deep-copied out of the
 // library's buffers.
@@ -163,10 +158,12 @@ type streamEntry struct {
 }
 
 // collectStreams runs one MPI-D exchange and captures every reducer's exact
-// Recv stream, in order.
-func collectStreams(t *testing.T, cfg Config, nRanks int, pairsBySender map[int][]kv.Pair) map[int][]streamEntry {
+// Recv stream, in order, plus the number of data messages the senders
+// shipped.
+func collectStreams(t *testing.T, cfg Config, nRanks int, pairsBySender map[int][]kv.Pair) (map[int][]streamEntry, int64) {
 	t.Helper()
 	streams := make(map[int][]streamEntry)
+	var messages int64
 	var mu sync.Mutex
 	err := mpi.Run(nRanks, func(c *mpi.Comm) error {
 		local := cfg
@@ -205,35 +202,163 @@ func collectStreams(t *testing.T, cfg Config, nRanks int, pairsBySender map[int]
 			streams[c.Rank()] = local
 			mu.Unlock()
 		}
-		return d.Finalize()
+		err = d.Finalize()
+		mu.Lock()
+		messages += d.Counters().MessagesSent
+		mu.Unlock()
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return streams
+	return streams, messages
 }
 
-func streamsEqual(t *testing.T, legacy, fast map[int][]streamEntry) {
-	t.Helper()
-	if len(legacy) != len(fast) {
-		t.Fatalf("reducer count: legacy %d, fast %d", len(legacy), len(fast))
+// oracleStreams is the sequential reference for a grouped exchange. Each
+// sender's buffer is modelled as §IV.A specifies it: pairs grouped by key,
+// payload counted as each distinct key once plus every value, a key's list
+// folded by the combiner once it holds combineEvery values, and a spill —
+// combine, sort values under SortValues, partition — whenever the payload
+// reaches SpillThreshold, plus one at close. Every reducer then sees each
+// of its keys exactly once, keys sorted, values in spill order (senders in
+// rank order).
+func oracleStreams(cfg Config, pairsBySender map[int][]kv.Pair) map[int][]streamEntry {
+	partition := cfg.Partitioner
+	if partition == nil {
+		partition = HashPartitioner
 	}
-	for rank, ls := range legacy {
-		fs := fast[rank]
-		if len(ls) != len(fs) {
-			t.Fatalf("rank %d: legacy emitted %d entries, fast %d", rank, len(ls), len(fs))
-		}
-		for i := range ls {
-			if !bytes.Equal(ls[i].key, fs[i].key) {
-				t.Fatalf("rank %d entry %d: key %q vs %q", rank, i, ls[i].key, fs[i].key)
-			}
-			if len(ls[i].values) != len(fs[i].values) {
-				t.Fatalf("rank %d key %q: %d values vs %d", rank, ls[i].key, len(ls[i].values), len(fs[i].values))
-			}
-			for j := range ls[i].values {
-				if !bytes.Equal(ls[i].values[j], fs[i].values[j]) {
-					t.Fatalf("rank %d key %q value %d: %x vs %x", rank, ls[i].key, j, ls[i].values[j], fs[i].values[j])
+	byReducer := make(map[int]map[string][][]byte)
+	for _, r := range cfg.Reducers {
+		byReducer[r] = make(map[string][][]byte)
+	}
+	var senders []int
+	for s := range pairsBySender {
+		senders = append(senders, s)
+	}
+	sort.Ints(senders)
+	for _, s := range senders {
+		buf := make(map[string][][]byte)
+		payload := 0
+		spill := func() {
+			for k, vs := range buf {
+				if cfg.Combiner != nil {
+					vs = cfg.Combiner([]byte(k), vs)
 				}
+				if cfg.SortValues {
+					sortValueList(vs)
+				}
+				r := cfg.Reducers[partition([]byte(k), len(cfg.Reducers))]
+				byReducer[r][k] = append(byReducer[r][k], vs...)
+			}
+			buf, payload = make(map[string][][]byte), 0
+		}
+		for _, p := range pairsBySender[s] {
+			k := string(p.Key)
+			vs, seen := buf[k]
+			if !seen {
+				payload += len(k)
+			}
+			vs = append(vs, p.Value)
+			payload += len(p.Value)
+			if cfg.Combiner != nil && len(vs) >= combineEvery {
+				payload -= valueBytes(vs)
+				vs = cfg.Combiner([]byte(k), vs)
+				payload += valueBytes(vs)
+			}
+			buf[k] = vs
+			if payload >= cfg.SpillThreshold {
+				spill()
+			}
+		}
+		spill()
+	}
+	out := make(map[int][]streamEntry)
+	for r, groups := range byReducer {
+		entries := make([]streamEntry, 0, len(groups))
+		for k, vs := range groups {
+			entries = append(entries, streamEntry{key: []byte(k), values: vs})
+		}
+		sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].key, entries[j].key) < 0 })
+		out[r] = entries
+	}
+	return out
+}
+
+func valueBytes(vs [][]byte) int {
+	n := 0
+	for _, v := range vs {
+		n += len(v)
+	}
+	return n
+}
+
+// streamsEqual requires got to match want entry for entry, byte for byte.
+func streamsEqual(t *testing.T, want, got map[int][]streamEntry) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("reducer count: want %d, got %d", len(want), len(got))
+	}
+	for rank, ws := range want {
+		gs := got[rank]
+		if len(ws) != len(gs) {
+			t.Fatalf("rank %d: want %d entries, got %d", rank, len(ws), len(gs))
+		}
+		for i := range ws {
+			if !bytes.Equal(ws[i].key, gs[i].key) {
+				t.Fatalf("rank %d entry %d: key want %q, got %q", rank, i, ws[i].key, gs[i].key)
+			}
+			if len(ws[i].values) != len(gs[i].values) {
+				t.Fatalf("rank %d key %q: want %d values, got %d", rank, ws[i].key, len(ws[i].values), len(gs[i].values))
+			}
+			for j := range ws[i].values {
+				if !bytes.Equal(ws[i].values[j], gs[i].values[j]) {
+					t.Fatalf("rank %d key %q value %d: want %x, got %x", rank, ws[i].key, j, ws[i].values[j], gs[i].values[j])
+				}
+			}
+		}
+	}
+}
+
+// foldedSums sums every VLong value per (rank, key) across a stream — the
+// result sumCombiner-folded streams must agree on however the folding was
+// split across spills and fragments.
+func foldedSums(t *testing.T, streams map[int][]streamEntry) map[string]int64 {
+	t.Helper()
+	out := make(map[string]int64)
+	for rank, entries := range streams {
+		for _, e := range entries {
+			for _, v := range e.values {
+				n, _, err := kv.ReadVLong(v)
+				if err != nil {
+					t.Fatalf("rank %d key %q: %v", rank, e.key, err)
+				}
+				out[fmt.Sprintf("%d/%s", rank, e.key)] += n
+			}
+		}
+	}
+	return out
+}
+
+func sumsEqual(t *testing.T, want, got map[string]int64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("distinct (rank, key) count: want %d, got %d", len(want), len(got))
+	}
+	for k, w := range want {
+		if g, ok := got[k]; !ok || g != w {
+			t.Fatalf("%s: folded sum want %d, got %d (present %v)", k, w, g, ok)
+		}
+	}
+}
+
+// keysOnceSorted requires every reducer's stream to carry strictly
+// increasing keys: each key delivered exactly once, in order.
+func keysOnceSorted(t *testing.T, streams map[int][]streamEntry) {
+	t.Helper()
+	for rank, entries := range streams {
+		for i := 1; i < len(entries); i++ {
+			if bytes.Compare(entries[i-1].key, entries[i].key) >= 0 {
+				t.Fatalf("rank %d: key %q followed by %q", rank, entries[i-1].key, entries[i].key)
 			}
 		}
 	}
@@ -258,12 +383,13 @@ func genPairs(n int, salt byte) []kv.Pair {
 	return pairs
 }
 
-// TestGroupedStreamByteIdentical drives the same single-sender workload
-// through the legacy core (LegacySend + LegacyGroup) and the optimized core
-// and requires the reducer-visible Recv streams to match byte for byte. A
-// single sender makes arrival order deterministic (per-pair FIFO), so this
-// is an exact check; the tiny spill threshold forces many runs and the
-// small merge factor forces background ordered passes.
+// TestGroupedStreamByteIdentical drives a single-sender workload through
+// the core and checks the reducer-visible Recv stream against the
+// sequential oracle. A single sender makes arrival order deterministic
+// (per-pair FIFO), so without a combiner the check is byte for byte; the
+// tiny spill threshold forces many runs and the small merge factor forces
+// background ordered passes. With a combiner, keys must still arrive
+// sorted and exactly once, and each key's folded sum must match.
 func TestGroupedStreamByteIdentical(t *testing.T) {
 	variants := []struct {
 		name string
@@ -278,82 +404,82 @@ func TestGroupedStreamByteIdentical(t *testing.T) {
 	pairs := map[int][]kv.Pair{1: genPairs(4000, 3)}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			base := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 512, MergeFactor: 3}
-			v.mut(&base)
-			legacyCfg := base
-			legacyCfg.LegacySend, legacyCfg.LegacyGroup = true, true
-			legacy := collectStreams(t, legacyCfg, 2, pairs)
-			fast := collectStreams(t, base, 2, pairs)
-			streamsEqual(t, legacy, fast)
+			cfg := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 512, MergeFactor: 3}
+			v.mut(&cfg)
+			got, _ := collectStreams(t, cfg, 2, pairs)
+			want := oracleStreams(cfg, pairs)
+			if cfg.Combiner == nil {
+				streamsEqual(t, want, got)
+				return
+			}
+			keysOnceSorted(t, got)
+			sumsEqual(t, foldedSums(t, want), foldedSums(t, got))
 		})
 	}
 }
 
-// TestStreamingStreamByteIdentical checks the arena send buffer against the
-// legacy one in streaming mode: fragments must arrive in the same order
-// with the same bytes, since both paths serialize spills in sorted key
-// order and a single sender's messages are FIFO.
+// TestStreamingStreamByteIdentical checks streaming mode, where fragments
+// arrive per message instead of merged per key: every message is one
+// spill serialized in sorted key order, so the fragment stream breaks into
+// at most one strictly increasing key run per message, and the fold over
+// all fragments must match the oracle's.
 func TestStreamingStreamByteIdentical(t *testing.T) {
 	pairs := map[int][]kv.Pair{1: genPairs(3000, 5)}
-	base := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 768, Streaming: true, Combiner: sumCombiner}
-	legacyCfg := base
-	legacyCfg.LegacySend = true
-	legacy := collectStreams(t, legacyCfg, 2, pairs)
-	fast := collectStreams(t, base, 2, pairs)
-	streamsEqual(t, legacy, fast)
+	cfg := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 768, Streaming: true, Combiner: sumCombiner}
+	got, messages := collectStreams(t, cfg, 2, pairs)
+	frags := got[0]
+	runs := 0
+	for i := range frags {
+		if i == 0 || bytes.Compare(frags[i-1].key, frags[i].key) >= 0 {
+			runs++
+		}
+	}
+	if messages < 2 {
+		t.Fatalf("only %d messages shipped; the spill threshold should force many", messages)
+	}
+	if int64(runs) > messages {
+		t.Fatalf("%d sorted fragment runs from %d messages: some message was not in key order", runs, messages)
+	}
+	sumsEqual(t, foldedSums(t, oracleStreams(cfg, pairs)), foldedSums(t, got))
 }
 
-// TestGroupedMultiSenderAggregateEquivalent compares legacy and optimized
-// cores under concurrent senders. Arrival order across senders is racy, so
-// the per-key value order is not deterministic; keys (sorted, exactly once)
-// and per-key value multisets must still agree.
+// TestGroupedMultiSenderAggregateEquivalent checks the core under
+// concurrent senders against the oracle. Arrival order across senders is
+// racy, so the per-key value order is not deterministic; keys (sorted,
+// exactly once) and per-key value multisets must still agree.
 func TestGroupedMultiSenderAggregateEquivalent(t *testing.T) {
 	pairs := map[int][]kv.Pair{2: genPairs(2500, 1), 3: genPairs(2500, 9), 4: genPairs(1000, 4)}
-	base := Config{Reducers: []int{0, 1}, Senders: []int{2, 3, 4}, SpillThreshold: 1024, MergeFactor: 3, Combiner: sumCombiner}
-	legacyCfg := base
-	legacyCfg.LegacySend, legacyCfg.LegacyGroup = true, true
-	legacy := collectStreams(t, legacyCfg, 5, pairs)
-	fast := collectStreams(t, base, 5, pairs)
+	cfg := Config{Reducers: []int{0, 1}, Senders: []int{2, 3, 4}, SpillThreshold: 1024, MergeFactor: 3, Combiner: sumCombiner}
+	got, _ := collectStreams(t, cfg, 5, pairs)
+	keysOnceSorted(t, got)
 
-	normalize := func(streams map[int][]streamEntry) map[string][]string {
+	multisets := func(streams map[int][]streamEntry) map[string][]string {
 		out := make(map[string][]string)
 		for rank, entries := range streams {
 			for _, e := range entries {
-				k := fmt.Sprintf("%d/%s", rank, e.key)
-				if _, dup := out[k]; dup {
-					t.Fatalf("rank %d emitted key %q twice", rank, e.key)
-				}
 				var vs []string
 				for _, v := range e.values {
 					vs = append(vs, string(v))
 				}
-				sortStringsStable(vs)
-				out[k] = vs
+				sort.Strings(vs)
+				out[fmt.Sprintf("%d/%s", rank, e.key)] = vs
 			}
 		}
 		return out
 	}
-	l, f := normalize(legacy), normalize(fast)
-	if len(l) != len(f) {
-		t.Fatalf("distinct (rank, key) count: legacy %d, fast %d", len(l), len(f))
+	w, g := multisets(oracleStreams(cfg, pairs)), multisets(got)
+	if len(w) != len(g) {
+		t.Fatalf("distinct (rank, key) count: want %d, got %d", len(w), len(g))
 	}
-	for k, lv := range l {
-		fv := f[k]
-		if len(lv) != len(fv) {
-			t.Fatalf("%s: %d values vs %d", k, len(lv), len(fv))
+	for k, wv := range w {
+		gv := g[k]
+		if len(wv) != len(gv) {
+			t.Fatalf("%s: want %d values, got %d", k, len(wv), len(gv))
 		}
-		for i := range lv {
-			if lv[i] != fv[i] {
-				t.Fatalf("%s value %d: %x vs %x", k, i, lv[i], fv[i])
+		for i := range wv {
+			if wv[i] != gv[i] {
+				t.Fatalf("%s value %d: want %x, got %x", k, i, wv[i], gv[i])
 			}
-		}
-	}
-}
-
-func sortStringsStable(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"github.com/ict-repro/mpid/internal/kv"
@@ -41,14 +40,7 @@ type receiver struct {
 	// in order.
 	fragments []kv.KeyList
 
-	// Legacy grouped mode (Config.LegacyGroup): accumulated merge table,
-	// then a sorted drain.
-	groups   map[string][][]byte
-	order    []string
-	drained  bool
-	drainPos int
-
-	// Merged grouped mode (default): every received partition buffer is a
+	// Grouped mode (default): every received partition buffer is a
 	// sorted run; the shuffle merge engine folds runs in the background
 	// while reception is still in flight, and the final k-way pass streams
 	// key groups through out while the reduce function consumes them.
@@ -64,11 +56,7 @@ func newReceiver(d *D) *receiver {
 		d:           d,
 		sendersLeft: len(d.cfg.Senders),
 	}
-	switch {
-	case d.cfg.Streaming:
-	case d.cfg.LegacyGroup:
-		r.groups = make(map[string][][]byte)
-	default:
+	if !d.cfg.Streaming {
 		// Recycle consumed run buffers into the transport's read pool when
 		// there is one (TCP), closing the frame-read allocation loop;
 		// otherwise into the instance pool. Final-pass buffers are never
@@ -105,14 +93,10 @@ func (d *D) Recv() ([]byte, [][]byte, error) {
 	if !d.isReducer {
 		return nil, nil, fmt.Errorf("mpid: rank %d is not a reducer", d.comm.Rank())
 	}
-	switch {
-	case d.cfg.Streaming:
+	if d.cfg.Streaming {
 		return d.recvState.nextStreaming()
-	case d.cfg.LegacyGroup:
-		return d.recvState.nextGroupedLegacy()
-	default:
-		return d.recvState.nextGroupedMerged()
 	}
+	return d.recvState.nextGroupedMerged()
 }
 
 // RecvKeyList is Recv returning a kv.KeyList.
@@ -181,51 +165,14 @@ func (r *receiver) nextStreaming() ([]byte, [][]byte, error) {
 	return f.Key, f.Values, nil
 }
 
-// nextGroupedLegacy buffers everything first, then drains keys in sorted
-// order — the pre-merge drain, kept as the A/B baseline (Config.LegacyGroup).
-func (r *receiver) nextGroupedLegacy() ([]byte, [][]byte, error) {
-	if !r.drained {
-		for {
-			data, more, err := r.receiveMessage()
-			if err != nil {
-				return nil, nil, err
-			}
-			if !more {
-				break
-			}
-			frags, err := r.decode(data)
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, f := range frags {
-				k := string(f.Key)
-				if _, seen := r.groups[k]; !seen {
-					r.order = append(r.order, k)
-				}
-				r.groups[k] = append(r.groups[k], f.Values...)
-			}
-		}
-		sort.Strings(r.order)
-		r.drained = true
-	}
-	if r.drainPos >= len(r.order) {
-		return nil, nil, io.EOF
-	}
-	k := r.order[r.drainPos]
-	r.drainPos++
-	values := r.groups[k]
-	delete(r.groups, k) // release as we stream out
-	return []byte(k), values, nil
-}
-
 // nextGroupedMerged is the streaming grouped drain: each received partition
 // buffer is a sorted run (spill serializes in sorted key order) handed to
 // the merge engine, whose background passes fold runs while reception is
 // still in flight. Once every sender is done, the final k-way pass runs in
 // its own goroutine and streams key groups through a channel, so reduce
 // computation overlaps the tail of the merge. Equal keys concatenate their
-// values in run-arrival order (Ordered merger), which keeps the stream
-// byte-identical with the legacy drain.
+// values in run-arrival order (Ordered merger), so a key's values reach
+// the reducer in the order its senders' spills arrived.
 func (r *receiver) nextGroupedMerged() ([]byte, [][]byte, error) {
 	if !r.started {
 		for {

@@ -12,10 +12,11 @@ import (
 
 // Bench regression gate: re-run each suite's smoke configuration and
 // compare its headline ratios against the committed BENCH_*.json
-// baselines. Only scale-free metrics are compared — speedups and the
-// fairness ratio — because the smoke configs are deliberately smaller
-// than the committed full-scale runs, so absolute milliseconds are not
-// comparable but the A/B ratios they summarize largely are. The default
+// baselines. Only scale-free metrics are compared — speedups, the
+// fairness ratio, byte ratios and allocations per round trip — because
+// the smoke configs are deliberately smaller than the committed
+// full-scale runs, so absolute milliseconds are not comparable but the
+// ratios they summarize largely are. The default
 // tolerance is wide (50%) for the same reason: a smoke run on loaded CI
 // hardware is a smoke detector for "the optimization stopped working",
 // not a precision benchmark.
@@ -53,7 +54,7 @@ type BenchCheckResult struct {
 }
 
 // benchSuites orders the gate's suites; each maps to BENCH_<suite>.json.
-var benchSuites = []string{"shuffle", "mpid", "serve", "workloads", "shufflebytes", "transport"}
+var benchSuites = []string{"mpid", "serve", "workloads", "shufflebytes", "transport"}
 
 // shuffleBytesBaselines are the shufflebytes modes whose bytes_ratio is
 // 1.0 by construction; the gate compares only the reduction modes.
@@ -166,22 +167,12 @@ func extractBenchMetrics(suite string, data []byte) ([]benchMetric, error) {
 		return v, nil
 	}
 	switch suite {
-	case "shuffle":
-		v, err := num(doc, "speedup")
+	case "mpid":
+		v, err := num(doc, "speedup_vs_hadoop")
 		if err != nil {
 			return nil, err
 		}
-		return []benchMetric{{name: "speedup", value: v}}, nil
-	case "mpid":
-		var out []benchMetric
-		for _, key := range []string{"speedup_vs_legacy", "speedup_vs_hadoop"} {
-			v, err := num(doc, key)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, benchMetric{name: key, value: v})
-		}
-		return out, nil
+		return []benchMetric{{name: "speedup_vs_hadoop", value: v}}, nil
 	case "serve":
 		v, err := num(doc, "fairness_ratio")
 		if err != nil {
@@ -244,20 +235,13 @@ func extractBenchMetrics(suite string, data []byte) ([]benchMetric, error) {
 		}
 		return out, nil
 	case "transport":
-		for _, key := range []string{"ring_vs_chan_small_p50", "max_allocs_per_op"} {
-			if _, err := num(doc, key); err != nil {
-				return nil, err
-			}
+		if _, err := num(doc, "max_allocs_per_op"); err != nil {
+			return nil, err
 		}
-		// Both headline metrics are absolute invariants, independent of
-		// the committed magnitudes: the ring transport must still beat
-		// the chan transport's small-message p50 (ratio below 1.0), and
+		// An absolute invariant, independent of the committed magnitude:
 		// the steady-state send→recv path must still be allocation-free
 		// on every transport at every size.
-		return []benchMetric{
-			{name: "ring_vs_chan_small_p50", value: 1.0, lowerBetter: true, absolute: true},
-			{name: "max_allocs_per_op", value: 0.0, lowerBetter: true, absolute: true},
-		}, nil
+		return []benchMetric{{name: "max_allocs_per_op", value: 0.0, lowerBetter: true, absolute: true}}, nil
 	}
 	return nil, fmt.Errorf("unknown suite %q", suite)
 }
@@ -266,21 +250,12 @@ func extractBenchMetrics(suite string, data []byte) ([]benchMetric, error) {
 // headline metrics under the same names extractBenchMetrics produces.
 func runBenchSmoke(suite string) (map[string]float64, error) {
 	switch suite {
-	case "shuffle":
-		r, err := RunShuffleBench(SmokeShuffleBench())
-		if err != nil {
-			return nil, err
-		}
-		return map[string]float64{"speedup": r.Speedup}, nil
 	case "mpid":
 		r, err := RunMPIDBench(SmokeMPIDBench())
 		if err != nil {
 			return nil, err
 		}
-		return map[string]float64{
-			"speedup_vs_legacy": r.SpeedupVsLegacy,
-			"speedup_vs_hadoop": r.SpeedupVsHadoop,
-		}, nil
+		return map[string]float64{"speedup_vs_hadoop": r.SpeedupVsHadoop}, nil
 	case "serve":
 		r, err := RunServeBench(SmokeServeBench())
 		if err != nil {
@@ -315,10 +290,7 @@ func runBenchSmoke(suite string) (map[string]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		return map[string]float64{
-			"ring_vs_chan_small_p50": r.RingVsChanSmallP50,
-			"max_allocs_per_op":      r.MaxAllocsPerOp,
-		}, nil
+		return map[string]float64{"max_allocs_per_op": r.MaxAllocsPerOp}, nil
 	}
 	return nil, fmt.Errorf("unknown suite %q", suite)
 }

@@ -17,8 +17,7 @@ func writeBench(t *testing.T, dir, suite, body string) {
 
 func TestLoadBenchBaselines(t *testing.T) {
 	dir := t.TempDir()
-	writeBench(t, dir, "shuffle", `{"speedup": 1.9}`)
-	writeBench(t, dir, "mpid", `{"speedup_vs_legacy": 2.0, "speedup_vs_hadoop": 3.5}`)
+	writeBench(t, dir, "mpid", `{"speedup_vs_hadoop": 3.5}`)
 	writeBench(t, dir, "serve", `{"fairness_ratio": 1.8}`)
 	writeBench(t, dir, "workloads", `{"workloads": [
 		{"name": "wordcount", "speedup_vs_hadoop": 3.3},
@@ -30,7 +29,7 @@ func TestLoadBenchBaselines(t *testing.T) {
 		{"workload": "wordcount", "mode": "coded-r1", "bytes_ratio": 1.0},
 		{"workload": "wordcount", "mode": "coded-r2", "bytes_ratio": 0.84}
 	]}`)
-	writeBench(t, dir, "transport", `{"ring_vs_chan_small_p50": 0.95, "max_allocs_per_op": 0}`)
+	writeBench(t, dir, "transport", `{"max_allocs_per_op": 0}`)
 
 	base, skipped, err := loadBenchBaselines(dir)
 	if err != nil {
@@ -39,14 +38,11 @@ func TestLoadBenchBaselines(t *testing.T) {
 	if len(skipped) != 0 {
 		t.Fatalf("skipped = %v, want none", skipped)
 	}
-	if got := len(base["shuffle"]); got != 1 {
-		t.Fatalf("shuffle metrics = %d, want 1", got)
+	if got := len(base["mpid"]); got != 1 {
+		t.Fatalf("mpid metrics = %d, want 1", got)
 	}
-	if m := base["shuffle"][0]; m.name != "speedup" || m.value != 1.9 || m.lowerBetter {
-		t.Fatalf("shuffle metric = %+v", m)
-	}
-	if got := len(base["mpid"]); got != 2 {
-		t.Fatalf("mpid metrics = %d, want 2", got)
+	if m := base["mpid"][0]; m.name != "speedup_vs_hadoop" || m.value != 3.5 || m.lowerBetter {
+		t.Fatalf("mpid metric = %+v", m)
 	}
 	if m := base["serve"][0]; m.name != "fairness_ratio" || !m.lowerBetter {
 		t.Fatalf("serve metric = %+v, want lower-better fairness_ratio", m)
@@ -74,9 +70,9 @@ func TestLoadBenchBaselines(t *testing.T) {
 			t.Fatalf("shufflebytes metric = %+v, want absolute lower-better 1.0", m)
 		}
 	}
-	// Transport gates are absolute invariants regardless of the committed
-	// magnitudes: ring still below chan (1.0), allocs still zero.
-	wantTransport := map[string]float64{"ring_vs_chan_small_p50": 1.0, "max_allocs_per_op": 0.0}
+	// The transport gate is an absolute invariant regardless of the
+	// committed magnitude: allocs still zero.
+	wantTransport := map[string]float64{"max_allocs_per_op": 0.0}
 	if got := len(base["transport"]); got != len(wantTransport) {
 		t.Fatalf("transport metrics = %d, want %d", got, len(wantTransport))
 	}
@@ -89,15 +85,15 @@ func TestLoadBenchBaselines(t *testing.T) {
 
 func TestLoadBenchBaselinesMissingFilesSkipped(t *testing.T) {
 	dir := t.TempDir()
-	writeBench(t, dir, "shuffle", `{"speedup": 1.9}`)
+	writeBench(t, dir, "mpid", `{"speedup_vs_hadoop": 3.5}`)
 	base, skipped, err := loadBenchBaselines(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base) != 1 || len(base["shuffle"]) != 1 {
-		t.Fatalf("base = %v, want only shuffle", base)
+	if len(base) != 1 || len(base["mpid"]) != 1 {
+		t.Fatalf("base = %v, want only mpid", base)
 	}
-	want := map[string]bool{"mpid": true, "serve": true, "workloads": true, "shufflebytes": true, "transport": true}
+	want := map[string]bool{"serve": true, "workloads": true, "shufflebytes": true, "transport": true}
 	if len(skipped) != len(want) {
 		t.Fatalf("skipped = %v, want %v", skipped, want)
 	}
@@ -110,7 +106,7 @@ func TestLoadBenchBaselinesMissingFilesSkipped(t *testing.T) {
 
 func TestLoadBenchBaselinesMalformed(t *testing.T) {
 	dir := t.TempDir()
-	writeBench(t, dir, "shuffle", `{"no_speedup_here": true}`)
+	writeBench(t, dir, "mpid", `{"no_speedup_here": true}`)
 	if _, _, err := loadBenchBaselines(dir); err == nil {
 		t.Fatal("want error for baseline without speedup")
 	}
@@ -123,8 +119,8 @@ func TestLoadBenchBaselinesMalformed(t *testing.T) {
 
 func TestCompareBenchTolerance(t *testing.T) {
 	base := map[string][]benchMetric{
-		"shuffle": {{name: "speedup", value: 2.0}},
-		"serve":   {{name: "fairness_ratio", value: 2.0, lowerBetter: true}},
+		"mpid":  {{name: "speedup_vs_hadoop", value: 2.0}},
+		"serve": {{name: "fairness_ratio", value: 2.0, lowerBetter: true}},
 	}
 	cases := []struct {
 		name    string
@@ -132,20 +128,20 @@ func TestCompareBenchTolerance(t *testing.T) {
 		wantOK  bool
 	}{
 		{"within", map[string]map[string]float64{
-			"shuffle": {"speedup": 1.5},
-			"serve":   {"fairness_ratio": 2.5},
+			"mpid":  {"speedup_vs_hadoop": 1.5},
+			"serve": {"fairness_ratio": 2.5},
 		}, true},
 		{"at-boundary", map[string]map[string]float64{
-			"shuffle": {"speedup": 1.0}, // exactly baseline*(1-0.5)
-			"serve":   {"fairness_ratio": 3.0},
+			"mpid":  {"speedup_vs_hadoop": 1.0}, // exactly baseline*(1-0.5)
+			"serve": {"fairness_ratio": 3.0},
 		}, true},
 		{"speedup-regressed", map[string]map[string]float64{
-			"shuffle": {"speedup": 0.9},
-			"serve":   {"fairness_ratio": 2.0},
+			"mpid":  {"speedup_vs_hadoop": 0.9},
+			"serve": {"fairness_ratio": 2.0},
 		}, false},
 		{"fairness-regressed", map[string]map[string]float64{
-			"shuffle": {"speedup": 2.0},
-			"serve":   {"fairness_ratio": 3.1}, // lower-better metric got worse
+			"mpid":  {"speedup_vs_hadoop": 2.0},
+			"serve": {"fairness_ratio": 3.1}, // lower-better metric got worse
 		}, false},
 	}
 	for _, tc := range cases {

@@ -15,15 +15,13 @@ import (
 	"github.com/ict-repro/mpid/internal/workload"
 )
 
-// MPIDBench is the MPI-D core A/B benchmark behind BENCH_mpid.json: the
-// same live WordCount job run three ways — through the optimized MPI-D
-// core (arena send buffer, pooled partition buffers, streaming receive
-// merge), through the legacy core (per-pair map buffering, buffer-all
-// grouped drain; Job.LegacySend + Job.LegacyGroup), and through the real
-// mini-Hadoop engine (RPC heartbeats + HTTP shuffle). All three run the
-// identical job on identical splits, and their outputs are checked for
-// equality before anything is timed — the live analogue of the paper's
-// Figure 6 with the fast path's A/B switch exposed.
+// MPIDBench is the MPI-D core benchmark behind BENCH_mpid.json: the same
+// live WordCount job run two ways — through the MPI-D core (arena send
+// buffer, pooled partition buffers, streaming receive merge) and through
+// the real mini-Hadoop engine (RPC heartbeats + HTTP shuffle). Both run
+// the identical job on identical splits, and their outputs are checked
+// for equality before anything is timed — the live analogue of the
+// paper's Figure 6.
 
 // MPIDBenchConfig shapes one benchmark run.
 type MPIDBenchConfig struct {
@@ -66,15 +64,13 @@ func SmokeMPIDBench() MPIDBenchConfig {
 	}
 }
 
-// MPIDBenchResult is one A/B/C measurement, the schema of BENCH_mpid.json.
+// MPIDBenchResult is one measurement, the schema of BENCH_mpid.json.
 type MPIDBenchResult struct {
 	Config          MPIDBenchConfig `json:"config"`
 	InputMB         float64         `json:"input_mb"`
-	HadoopMs        float64         `json:"hadoop_ms"`            // best-of-reps, mini-Hadoop engine
-	LegacyCoreMs    float64         `json:"legacy_core_ms"`       // best-of-reps, MPI-D legacy send+group
-	FastCoreMs      float64         `json:"fast_core_ms"`         // best-of-reps, optimized MPI-D core
-	SpeedupVsLegacy float64         `json:"speedup_vs_legacy"`    // LegacyCoreMs / FastCoreMs
-	SpeedupVsHadoop float64         `json:"speedup_vs_hadoop"`    // HadoopMs / FastCoreMs
+	HadoopMs        float64         `json:"hadoop_ms"`         // best-of-reps, mini-Hadoop engine
+	FastCoreMs      float64         `json:"fast_core_ms"`      // best-of-reps, MPI-D core
+	SpeedupVsHadoop float64         `json:"speedup_vs_hadoop"` // HadoopMs / FastCoreMs
 	Timestamp       string          `json:"timestamp,omitempty"`
 }
 
@@ -103,18 +99,9 @@ func pairsEqual(a, b []kv.Pair) bool {
 	return true
 }
 
-// mpidJob builds the MPI-D job for one path of the A/B.
-func mpidJob(legacy bool, pool *bufpool.Pool) mapred.Job {
-	job := liveWordCountJob()
-	job.LegacySend = legacy
-	job.LegacyGroup = legacy
-	job.Pool = pool
-	return job
-}
-
-// RunMPIDBench generates the input once, validates that all three paths
+// RunMPIDBench generates the input once, validates that both engines
 // produce the same reduced output, then times Reps runs of each and
-// reports the best wall time per path.
+// reports the best wall time per engine.
 func RunMPIDBench(cfg MPIDBenchConfig) (*MPIDBenchResult, error) {
 	vocab := workload.NewVocabulary(cfg.Vocab, 33)
 	text := workload.NewTextGenerator(vocab, 1.15, cfg.Seed).BytesOfText(int(cfg.SizeBytes))
@@ -128,37 +115,25 @@ func RunMPIDBench(cfg MPIDBenchConfig) (*MPIDBenchResult, error) {
 	pool := bufpool.New()
 
 	runFast := func() (*mapred.Result, error) {
-		j := mpidJob(false, pool)
-		j.NumReducers = cfg.Reducers
-		return mapred.Run(j, splits, cfg.Mappers)
-	}
-	runLegacy := func() (*mapred.Result, error) {
-		j := mpidJob(true, nil)
-		j.NumReducers = cfg.Reducers
+		j := job
+		j.Pool = pool
 		return mapred.Run(j, splits, cfg.Mappers)
 	}
 	runHadoop := func() (*mapred.Result, error) {
 		return hadoop.Run(job, splits, hcfg)
 	}
 
-	// Correctness gate before timing anything: all three paths must reduce
-	// to the same key/value set.
+	// Correctness gate before timing anything: both engines must reduce to
+	// the same key/value set.
 	fastRes, err := runFast()
 	if err != nil {
 		return nil, fmt.Errorf("mpidbench: fast core: %w", err)
-	}
-	legacyRes, err := runLegacy()
-	if err != nil {
-		return nil, fmt.Errorf("mpidbench: legacy core: %w", err)
 	}
 	hadoopRes, err := runHadoop()
 	if err != nil {
 		return nil, fmt.Errorf("mpidbench: hadoop engine: %w", err)
 	}
 	want := canonicalPairs(fastRes)
-	if got := canonicalPairs(legacyRes); !pairsEqual(want, got) {
-		return nil, fmt.Errorf("mpidbench: legacy core output differs from fast core (%d vs %d pairs)", len(got), len(want))
-	}
 	if got := canonicalPairs(hadoopRes); !pairsEqual(want, got) {
 		return nil, fmt.Errorf("mpidbench: hadoop output differs from fast core (%d vs %d pairs)", len(got), len(want))
 	}
@@ -182,20 +157,14 @@ func RunMPIDBench(cfg MPIDBenchConfig) (*MPIDBenchResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mpidbench: fast core: %w", err)
 	}
-	legacyBest, err := best(runLegacy)
-	if err != nil {
-		return nil, fmt.Errorf("mpidbench: legacy core: %w", err)
-	}
 	hadoopBest, err := best(runHadoop)
 	if err != nil {
 		return nil, fmt.Errorf("mpidbench: hadoop engine: %w", err)
 	}
 
 	res.FastCoreMs = float64(fastBest.Microseconds()) / 1000
-	res.LegacyCoreMs = float64(legacyBest.Microseconds()) / 1000
 	res.HadoopMs = float64(hadoopBest.Microseconds()) / 1000
 	if res.FastCoreMs > 0 {
-		res.SpeedupVsLegacy = res.LegacyCoreMs / res.FastCoreMs
 		res.SpeedupVsHadoop = res.HadoopMs / res.FastCoreMs
 	}
 	return res, nil
@@ -206,14 +175,13 @@ func MarshalMPIDBench(r *MPIDBenchResult) ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// RenderMPIDBench prints the A/B/C table.
+// RenderMPIDBench prints the comparison table.
 func RenderMPIDBench(r *MPIDBenchResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "MPI-D core A/B (live WordCount, %.1f MB input, %d mappers -> %d reducers)\n",
+	fmt.Fprintf(&b, "MPI-D core vs Hadoop (live WordCount, %.1f MB input, %d mappers -> %d reducers)\n",
 		r.InputMB, r.Config.Mappers, r.Config.Reducers)
 	fmt.Fprintf(&b, "  hadoop engine (RPC + HTTP shuffle):      %8.1f ms\n", r.HadoopMs)
-	fmt.Fprintf(&b, "  mpi-d legacy core (map buffer + drain):  %8.1f ms\n", r.LegacyCoreMs)
 	fmt.Fprintf(&b, "  mpi-d fast core (arena + stream merge):  %8.1f ms\n", r.FastCoreMs)
-	fmt.Fprintf(&b, "  speedup vs legacy core: %.2fx   vs hadoop: %.2fx\n", r.SpeedupVsLegacy, r.SpeedupVsHadoop)
+	fmt.Fprintf(&b, "  speedup vs hadoop: %.2fx\n", r.SpeedupVsHadoop)
 	return b.String()
 }

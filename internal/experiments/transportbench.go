@@ -2,9 +2,8 @@ package experiments
 
 // Transport raw-speed benchmark: the live Figure 2/3 curves measured over
 // the repository's own MPI transports instead of the paper's cluster. For
-// every transport — the in-process chan baseline, the shared-memory-style
-// ring, the legacy-framed TCP path and the vectored (writev) TCP path —
-// the suite sweeps message sizes and reports one-way latency percentiles,
+// every transport — the in-process chan baseline and the vectored (writev)
+// TCP path — the suite sweeps message sizes and reports one-way latency percentiles,
 // streaming bandwidth, and heap allocations per round trip through the
 // full send→recv path.
 //
@@ -13,14 +12,10 @@ package experiments
 // each transport via mapred.RunOnWorld, and the canonical outputs must be
 // byte-identical across all of them.
 //
-// The headline scale-free metrics feed the bench-check gate:
-//
-//   - ring_vs_chan_small_p50: ring's small-message p50 divided by chan's.
-//     The ring exists to beat the chan transport's mutex/cond rendezvous,
-//     so the gate pins this below 1.0 as an absolute invariant.
-//   - max_allocs_per_op: the worst allocs-per-round-trip across every
-//     transport and size; pinned at 0.0 absolute — the transports'
-//     steady-state exchange must not allocate at all.
+// The headline metric feeds the bench-check gate: max_allocs_per_op, the
+// worst allocs-per-round-trip across every transport and size, pinned at
+// 0.0 absolute — the transports' steady-state exchange must not allocate
+// at all.
 
 import (
 	"encoding/json"
@@ -36,35 +31,24 @@ import (
 )
 
 // TransportNames lists the swept transports in report order.
-var TransportNames = []string{"chan", "ring", "tcp", "tcp+writev"}
+var TransportNames = []string{"chan", "tcp"}
 
 // NewTransportWorld builds an n-rank world over the named transport:
-// "chan" (in-process reference), "ring" (shared-memory-style rings,
-// zero-copy hand-off), "ring+copy" (ring with the copying device
-// emulation), "tcp" (loopback TCP, legacy bufio framing) or "tcp+writev"
-// (loopback TCP, vectored framing). The extra ring+copy name is accepted
-// everywhere a -transport flag is, though the committed sweep covers the
-// four report rows.
+// "chan" (in-process zero-copy reference) or "tcp" (loopback TCP,
+// vectored framing). Every -transport flag resolves through it.
 func NewTransportWorld(name string, n int) (*mpi.World, error) {
 	switch name {
 	case "chan":
 		return mpi.NewWorld(n), nil
-	case "ring":
-		return mpi.NewRingWorld(n), nil
-	case "ring+copy":
-		return mpi.NewRingWorldConfig(n, mpi.RingConfig{CopyPayloads: true}), nil
 	case "tcp":
-		return mpi.NewTCPWorldOptions(n, mpi.TCPOptions{LegacyFraming: true})
-	case "tcp+writev":
-		return mpi.NewTCPWorldOptions(n, mpi.TCPOptions{})
+		return mpi.NewTCPWorld(n)
 	}
-	return nil, fmt.Errorf("unknown transport %q (want chan, ring, ring+copy, tcp or tcp+writev)", name)
+	return nil, fmt.Errorf("unknown transport %q (want chan or tcp)", name)
 }
 
 // TransportBenchConfig shapes one transport sweep.
 type TransportBenchConfig struct {
-	// Sizes are the swept message sizes in bytes; Sizes[0] is the
-	// "small message" the ring-vs-chan p50 gate reads.
+	// Sizes are the swept message sizes in bytes.
 	Sizes []int `json:"sizes"`
 	// Reps is the number of round trips sampled per (transport, size)
 	// for the latency percentiles.
@@ -106,7 +90,7 @@ func SmokeTransportBench() TransportBenchConfig {
 // TransportSizeRow is one (transport, size) sample set.
 type TransportSizeRow struct {
 	SizeBytes   int     `json:"size_bytes"`
-	P50Us       float64 `json:"p50_us"`  // one-way latency (round trip / 2)
+	P50Us       float64 `json:"p50_us"` // one-way latency (round trip / 2)
 	P90Us       float64 `json:"p90_us"`
 	MeanUs      float64 `json:"mean_us"`
 	BandwidthMB float64 `json:"bandwidth_mb_s"` // one-way streaming MB/s
@@ -126,14 +110,6 @@ type TransportBenchResult struct {
 	// byte-identical canonical WordCount output before timing began.
 	WordCountIdentical bool             `json:"wordcount_identical"`
 	Transports         []TransportCurve `json:"transports"`
-	// RingVsChanSmallP50 is ring p50 / chan p50 at Sizes[0]; below 1.0
-	// means the ring beats the chan transport on small messages. It is
-	// measured from interleaved back-to-back chan/ring trial pairs (the
-	// median of the per-pair ratios), not from the sweep rows above:
-	// the sweep runs each transport's cells seconds apart, and slow
-	// machine-level drift across that gap is larger than the ring's
-	// edge, so a ratio of two distant p50s is mostly noise.
-	RingVsChanSmallP50 float64 `json:"ring_vs_chan_small_p50"`
 	// MaxAllocsPerOp is the worst allocs/round-trip across the sweep.
 	MaxAllocsPerOp float64 `json:"max_allocs_per_op"`
 	Timestamp      string  `json:"timestamp,omitempty"`
@@ -162,111 +138,7 @@ func RunTransportBench(cfg TransportBenchConfig) (*TransportBenchResult, error) 
 		}
 		res.Transports = append(res.Transports, curve)
 	}
-
-	ratio, err := pairedSmallRatio(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.RingVsChanSmallP50 = ratio
 	return res, nil
-}
-
-// pairedSmallRatio measures the headline ring-vs-chan small-message ratio
-// from interleaved trial pairs: each pair runs a chan latency trial and a
-// ring latency trial back to back, so both sides of the ratio see the
-// same machine conditions, and the median of the per-pair ratios discards
-// the pairs a background hiccup landed in.
-func pairedSmallRatio(cfg TransportBenchConfig) (float64, error) {
-	const pairs = 7
-	size := cfg.Sizes[0]
-	reps := cfg.Reps / 2
-	if reps < 200 {
-		reps = 200
-	}
-	ratios := make([]float64, 0, pairs)
-	for i := 0; i < pairs; i++ {
-		chanP50, err := latencyP50("chan", size, reps)
-		if err != nil {
-			return 0, err
-		}
-		ringP50, err := latencyP50("ring", size, reps)
-		if err != nil {
-			return 0, err
-		}
-		ratios = append(ratios, ringP50/chanP50)
-	}
-	sort.Float64s(ratios)
-	return ratios[len(ratios)/2], nil
-}
-
-// latencyP50 runs one lean ping-pong latency trial over the named
-// transport and returns the median round-trip time in nanoseconds.
-func latencyP50(name string, size, reps int) (float64, error) {
-	w, err := NewTransportWorld(name, 2)
-	if err != nil {
-		return 0, err
-	}
-	defer w.Close()
-
-	echoDone := make(chan struct{})
-	go func() {
-		defer close(echoDone)
-		c := w.Comm(1)
-		pool := c.RecvBufferPool()
-		echo := make([]byte, size)
-		for {
-			data, st, err := c.Recv(0, mpi.AnyTag)
-			if err != nil {
-				return
-			}
-			stop := st.Tag == 1
-			pool.Put(data)
-			if stop {
-				return
-			}
-			if c.Send(0, 0, echo) != nil {
-				return
-			}
-		}
-	}()
-
-	c := w.Comm(0)
-	pool := c.RecvBufferPool()
-	payload := make([]byte, size)
-	rtt := func() error {
-		if err := c.Send(1, 0, payload); err != nil {
-			return err
-		}
-		data, _, err := c.Recv(1, 0)
-		if err != nil {
-			return err
-		}
-		pool.Put(data)
-		return nil
-	}
-	warm := reps / 10
-	if warm < 50 {
-		warm = 50
-	}
-	for i := 0; i < warm; i++ {
-		if err := rtt(); err != nil {
-			return 0, err
-		}
-	}
-	samples := make([]float64, reps)
-	for i := range samples {
-		start := time.Now()
-		if err := rtt(); err != nil {
-			return 0, err
-		}
-		samples[i] = float64(time.Since(start).Nanoseconds())
-	}
-	if err := c.Send(1, 1, payload); err != nil {
-		return 0, err
-	}
-	<-echoDone
-	sort.Float64s(samples)
-	return samples[len(samples)/2], nil
 }
 
 // transportEqualityGate runs the identical deterministic WordCount over
@@ -322,9 +194,7 @@ func sweepTransportSize(name string, size int, cfg TransportBenchConfig) (Transp
 	defer w.Close()
 
 	// Echo loop on rank 1: tag 0 is echoed, tag 2 (the bandwidth stream)
-	// is sunk without a reply — replying to a bounded-ring stream would
-	// fill the reverse ring and deadlock both sides — and tag 1 shuts
-	// the loop down.
+	// is sunk without a reply, and tag 1 shuts the loop down.
 	echoErr := make(chan error, 1)
 	go func() {
 		c := w.Comm(1)
@@ -455,7 +325,6 @@ func RenderTransportBench(r *TransportBenchResult) string {
 				c.Transport, fmtSize(row.SizeBytes), row.P50Us, row.P90Us, row.MeanUs, row.BandwidthMB, row.AllocsPerOp)
 		}
 	}
-	fmt.Fprintf(&b, "  ring vs chan small-message p50: %.3f (below 1.0 means the ring wins)\n", r.RingVsChanSmallP50)
 	fmt.Fprintf(&b, "  max allocs per round trip anywhere in the sweep: %.2f\n", r.MaxAllocsPerOp)
 	return b.String()
 }

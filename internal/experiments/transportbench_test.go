@@ -1,46 +1,15 @@
 package experiments
 
-import (
-	"testing"
-
-	"github.com/ict-repro/mpid/internal/kv"
-	"github.com/ict-repro/mpid/internal/mapred"
-	"github.com/ict-repro/mpid/internal/mpi"
-	"github.com/ict-repro/mpid/internal/workload"
-)
+import "testing"
 
 // TestTransportWordCountByteIdentical is the transport suite's equality
 // gate as a standalone test: the same deterministic WordCount over every
-// transport (plus the ring's copying device emulation, which the bench
-// table doesn't sweep) must produce byte-identical canonical output.
-// CI runs this under -race: the ring's slot publication and the vectored
-// TCP writer are exactly the code a data race would corrupt.
+// transport must produce byte-identical canonical output. CI runs this
+// under -race: the vectored TCP writer's batching is exactly the code a
+// data race would corrupt.
 func TestTransportWordCountByteIdentical(t *testing.T) {
-	cfg := SmokeTransportBench()
-	if err := transportEqualityGate(cfg); err != nil {
+	if err := transportEqualityGate(SmokeTransportBench()); err != nil {
 		t.Fatal(err)
-	}
-
-	// ring+copy against the chan reference, same workload.
-	vocab := workload.NewVocabulary(500, 33)
-	text := workload.NewTextGenerator(vocab, 1.15, cfg.Seed).BytesOfText(int(cfg.WCBytes))
-	splits := mapred.SplitText(text, int(cfg.WCSplit))
-	job := liveWordCountJob()
-	job.NumReducers = cfg.WCReducers
-
-	outputs := map[string][]kv.Pair{}
-	for _, name := range []string{"chan", "ring+copy"} {
-		tname := name
-		result, err := mapred.RunOnWorld(job, splits, cfg.WCMappers, func(n int) (*mpi.World, error) {
-			return NewTransportWorld(tname, n)
-		})
-		if err != nil {
-			t.Fatalf("wordcount over %s: %v", name, err)
-		}
-		outputs[name] = canonicalPairs(result)
-	}
-	if !pairsEqual(outputs["chan"], outputs["ring+copy"]) {
-		t.Fatal("ring+copy wordcount output differs from chan")
 	}
 }
 

@@ -12,15 +12,14 @@ import (
 // TestWorkloadSuiteThreeEngineEquality is the equality gate as a test: every
 // bench case — including the Zipf(1.5) skewed-key TeraSort, whose duplicate
 // keys used to flip Pairs() ordering between runs — must produce
-// byte-identical canonical output on the fast MPI-D core, the legacy core,
-// and the mini-Hadoop engine. CI runs this under -race alongside the core
-// equivalence suite.
+// byte-identical canonical output on the MPI-D core and the mini-Hadoop
+// engine. CI runs this under -race alongside the core equivalence suite.
 func TestWorkloadSuiteThreeEngineEquality(t *testing.T) {
 	cfg := SmokeWorkloadBench()
 	for _, c := range benchCases(cfg) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			fast, legacy, had, err := caseRunners(c, cfg)
+			fast, had, err := caseRunners(c, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,13 +32,6 @@ func TestWorkloadSuiteThreeEngineEquality(t *testing.T) {
 			}
 			if shuffled == 0 {
 				t.Fatal("fast core reported zero shuffle bytes")
-			}
-			legacyOut, _, err := legacy()
-			if err != nil {
-				t.Fatalf("legacy core: %v", err)
-			}
-			if !pairsEqual(want, legacyOut) {
-				t.Fatalf("legacy core output differs (%d vs %d pairs)", len(legacyOut), len(want))
 			}
 			hadoopOut, _, err := had()
 			if err != nil {
@@ -62,7 +54,7 @@ func TestSkewedTeraSortStressesDuplicates(t *testing.T) {
 		if c.name != "terasort-skew" {
 			continue
 		}
-		fast, _, _, err := caseRunners(c, cfg)
+		fast, _, err := caseRunners(c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +110,7 @@ func TestPageRankChainedFixedPointAcrossEngines(t *testing.T) {
 		return out
 	}
 
-	fast, legacy, had, err := caseRunners(*c, cfg)
+	fast, had, err := caseRunners(*c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +118,11 @@ func TestPageRankChainedFixedPointAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyOut, _, err := legacy()
-	if err != nil {
-		t.Fatal(err)
-	}
 	hadoopOut, _, err := had()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pairsEqual(atN, legacyOut) || !pairsEqual(atN, hadoopOut) {
+	if !pairsEqual(atN, hadoopOut) {
 		t.Fatal("engines disagree on the chained PageRank state")
 	}
 
@@ -148,7 +136,7 @@ func TestPageRankChainedFixedPointAcrossEngines(t *testing.T) {
 
 	// One more round must move no vertex by more than 1e-6.
 	cfg.PageRankRounds++
-	fast1, _, _, err := caseRunners(*c, cfg)
+	fast1, _, err := caseRunners(*c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

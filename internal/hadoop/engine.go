@@ -62,18 +62,13 @@ type Config struct {
 	// MergeFactor is the reduce-side merge fan-in (io.sort.factor; default
 	// 10): while fetches are still in flight, a background merge pass folds
 	// the MergeFactor smallest pending runs into one, overlapping merge CPU
-	// with copy wait. Only meaningful on the pipelined shuffle path.
+	// with copy wait.
 	MergeFactor int
 	// CompressShuffle compresses map-output segments on the jetty wire
 	// (mapred.compress.map.output): trackers advertise acceptance on fetch,
 	// shuffle servers DEFLATE each served segment, and the copier inflates
 	// into pooled buffers. Trades a little CPU for shuffle bytes.
 	CompressShuffle bool
-	// LegacyShuffle restores the pre-pipeline reduce path — buffer every
-	// fetched segment into one hash map, then sort the whole key space —
-	// kept for A/B benchmarking and the byte-identical property tests. The
-	// default (false) is the pipelined sorted-run merge engine.
-	LegacyShuffle bool
 	// NodeCombine enables the per-tracker combine stage — in-node combining
 	// for the Hadoop path. Map tasks defer their completion report; once
 	// the jobtracker signals the map queue drained (actMapsDrained), each
@@ -175,6 +170,10 @@ type ClusterControl interface {
 	// job has already finished or failed, making it safe to call from a
 	// flapping prober — duplicate verdicts are no-ops.
 	MarkLost(id int) bool
+	// Finished reports whether the job has completed or failed. From then
+	// on trackers wind down and stop answering, so a liveness watcher
+	// should stop judging them: any verdict it reached would be inert.
+	Finished() bool
 }
 
 func (c Config) withDefaults() Config {
@@ -544,7 +543,7 @@ func (jt *jobTracker) sweepLoop() {
 func (jt *jobTracker) sweep(now time.Time) {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	if jt.failure != nil || jt.reducesDone == jt.job.NumReducers || len(jt.trackers) == 0 {
+	if jt.finishedLocked() || len(jt.trackers) == 0 {
 		return
 	}
 	alive := 0
@@ -590,7 +589,7 @@ func (jt *jobTracker) MarkLost(id int) bool {
 	if id < 0 || id >= len(jt.trackers) {
 		return false
 	}
-	if jt.failure != nil || jt.reducesDone == jt.job.NumReducers {
+	if jt.finishedLocked() {
 		return false
 	}
 	tr := jt.trackers[id]
@@ -611,6 +610,19 @@ func (jt *jobTracker) MarkLost(id int) bool {
 		jt.abortLocked(errors.New("hadoop: all tasktrackers lost"))
 	}
 	return true
+}
+
+// Finished implements ClusterControl.
+func (jt *jobTracker) Finished() bool {
+	jt.mu.Lock()
+	defer jt.mu.Unlock()
+	return jt.finishedLocked()
+}
+
+// finishedLocked reports whether the job has failed or every reduce is
+// done. Caller holds jt.mu.
+func (jt *jobTracker) finishedLocked() bool {
+	return jt.failure != nil || jt.reducesDone == jt.job.NumReducers
 }
 
 // closeTrace finishes the job's trace: scheduler attempt spans still open

@@ -14,32 +14,36 @@ import (
 )
 
 // Pipeline tests: the pipelined shuffle (sorted spills + concurrent
-// k-way merge, the default path) must produce output byte-identical to
-// the legacy buffer-then-sort path (Config.LegacyShuffle) — fault-free,
-// under chaos, and with wire compression on — and its merge passes must
-// visibly overlap the copy phase in the trace.
+// k-way merge) must produce output byte-identical to the same job on the
+// MPI-D core (mapred.Run) — fault-free, under chaos, and with wire
+// compression on — and its merge passes must visibly overlap the copy
+// phase in the trace.
 
-// runBoth runs one job on both shuffle paths and returns the framed
-// outputs for byte-exact comparison.
-func runBoth(t *testing.T, job mapred.Job, splits []mapred.Split, cfg Config) (pipelined, legacy []byte) {
+// coreReference runs job on the MPI-D core and returns its canonical
+// framed output, the reference every hadoop run here must match.
+func coreReference(t *testing.T, job mapred.Job, splits []mapred.Split) []byte {
 	t.Helper()
-	cfg.LegacyShuffle = false
-	resP, err := Run(job, splits, cfg)
+	res, err := mapred.Run(job, splits, 3)
+	if err != nil {
+		t.Fatalf("MPI-D core run: %v", err)
+	}
+	return encodePairs(res.Pairs())
+}
+
+// runBoth runs one job through the hadoop engine and the MPI-D core and
+// returns the framed outputs for byte-exact comparison.
+func runBoth(t *testing.T, job mapred.Job, splits []mapred.Split, cfg Config) (pipelined, reference []byte) {
+	t.Helper()
+	res, err := Run(job, splits, cfg)
 	if err != nil {
 		t.Fatalf("pipelined run: %v", err)
 	}
-	cfg.LegacyShuffle = true
-	cfg.Metrics = nil // fresh registry; don't mix the two runs' counters
-	resL, err := Run(job, splits, cfg)
-	if err != nil {
-		t.Fatalf("legacy run: %v", err)
-	}
-	return encodePairs(resP.Pairs()), encodePairs(resL.Pairs())
+	return encodePairs(res.Pairs()), coreReference(t, job, splits)
 }
 
 // TestPipelinedMatchesLegacy sweeps map/reduce shapes — including ones
 // where maps far exceed MergeFactor, so intermediate passes actually run —
-// and checks byte-identical output between the two paths.
+// and checks byte-identical output against the MPI-D core.
 func TestPipelinedMatchesLegacy(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -60,7 +64,7 @@ func TestPipelinedMatchesLegacy(t *testing.T) {
 			job := wcJob(tc.reducers)
 			got, want := runBoth(t, job, splits, Config{NumTrackers: 3, MergeFactor: tc.factor})
 			if !bytes.Equal(got, want) {
-				t.Fatalf("pipelined output differs from legacy (%d vs %d bytes)", len(got), len(want))
+				t.Fatalf("pipelined output differs from the MPI-D core (%d vs %d bytes)", len(got), len(want))
 			}
 		})
 	}
@@ -75,7 +79,7 @@ func TestPipelinedMatchesLegacyNoCombiner(t *testing.T) {
 	job.Combiner = nil
 	got, want := runBoth(t, job, splits, Config{NumTrackers: 2, MergeFactor: 4})
 	if !bytes.Equal(got, want) {
-		t.Fatalf("no-combiner pipelined output differs from legacy (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("no-combiner pipelined output differs from the MPI-D core (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
@@ -109,50 +113,43 @@ func TestPipelinedMatchesLegacyOrderInsensitive(t *testing.T) {
 	job := mapred.Job{Name: "tag-join", Mapper: tagMapper, Reducer: joinReducer, NumReducers: 3}
 	got, want := runBoth(t, job, splits, Config{NumTrackers: 3, MergeFactor: 3})
 	if !bytes.Equal(got, want) {
-		t.Fatalf("order-insensitive output differs between paths (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("order-insensitive output differs from the MPI-D core (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
-// TestPipelinedMatchesLegacyUnderChaos repeats the flaky-RPC chaos run on
-// both paths: injected failures, retries and map re-executions must not
-// break the byte-identical guarantee.
+// TestPipelinedMatchesLegacyUnderChaos repeats the flaky-RPC chaos run:
+// injected failures, retries and map re-executions must not break the
+// byte-identical guarantee against the MPI-D core.
 func TestPipelinedMatchesLegacyUnderChaos(t *testing.T) {
 	text := genText(t, 40_000, 7)
 	splits := mapred.SplitText(text, 2_000) // 20 maps
 	job := wcJob(3)
-	newCfg := func(legacy bool) Config {
-		return Config{
-			NumTrackers:   3,
-			MergeFactor:   4,
-			LegacyShuffle: legacy,
-			Injector: faults.New(42, faults.Rule{
-				Component:   "hadooprpc.client",
-				Operation:   "call",
-				Probability: 0.1,
-				Action:      faults.Fail,
-			}),
-			RPC: hadooprpc.Options{
-				MaxAttempts: 8,
-				Backoff:     faults.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
-			},
-		}
+	cfg := Config{
+		NumTrackers: 3,
+		MergeFactor: 4,
+		Injector: faults.New(42, faults.Rule{
+			Component:   "hadooprpc.client",
+			Operation:   "call",
+			Probability: 0.1,
+			Action:      faults.Fail,
+		}),
+		RPC: hadooprpc.Options{
+			MaxAttempts: 8,
+			Backoff:     faults.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
+		},
 	}
-	resP, err := Run(job, splits, newCfg(false))
+	res, err := Run(job, splits, cfg)
 	if err != nil {
 		t.Fatalf("pipelined under chaos: %v", err)
 	}
-	resL, err := Run(job, splits, newCfg(true))
-	if err != nil {
-		t.Fatalf("legacy under chaos: %v", err)
-	}
-	if got, want := encodePairs(resP.Pairs()), encodePairs(resL.Pairs()); !bytes.Equal(got, want) {
+	if got, want := encodePairs(res.Pairs()), coreReference(t, job, splits); !bytes.Equal(got, want) {
 		t.Fatalf("outputs differ under chaos (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
 // TestCompressedShuffleMatches turns wire compression on and checks the
-// output still matches the uncompressed run, and that compressed fetches
-// actually happened.
+// output still matches the uncompressed run and the MPI-D core, and that
+// compressed fetches actually happened.
 func TestCompressedShuffleMatches(t *testing.T) {
 	text := genText(t, 40_000, 13)
 	splits := mapred.SplitText(text, 4_000)
@@ -167,6 +164,9 @@ func TestCompressedShuffleMatches(t *testing.T) {
 	}
 	if got, want := encodePairs(res.Pairs()), encodePairs(plain.Pairs()); !bytes.Equal(got, want) {
 		t.Fatalf("compressed output differs (%d vs %d bytes)", len(got), len(want))
+	}
+	if got, want := encodePairs(res.Pairs()), coreReference(t, job, splits); !bytes.Equal(got, want) {
+		t.Fatalf("compressed output differs from the MPI-D core (%d vs %d bytes)", len(got), len(want))
 	}
 	if n := rep.Metrics.Counter("shuffle.fetches_compressed"); n == 0 {
 		t.Fatal("CompressShuffle on but no compressed fetches recorded")

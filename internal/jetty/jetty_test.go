@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/shuffle"
@@ -258,11 +259,19 @@ func TestFileBackedFetch(t *testing.T) {
 	if !bytes.Equal(fromFile, payload) || !bytes.Equal(fromMem, fromFile) {
 		t.Fatal("file-backed serve is not byte-identical to the in-memory serve")
 	}
-	if got := reg.Counter("shuffle.sendfile_bytes").Value(); got != int64(len(payload)) {
-		t.Fatalf("sendfile_bytes = %d, want %d", got, len(payload))
-	}
-	if got := reg.Counter("shuffle.serves_zerocopy").Value(); got != 2 {
-		t.Fatalf("serves_zerocopy = %d, want 2 (one sendfile, one ReaderFrom)", got)
+	// The server bumps both counters after its copy returns, which can be
+	// after the client has already read the whole body; wait for the
+	// exact values rather than sampling them once.
+	sendfile := reg.Counter("shuffle.sendfile_bytes")
+	zerocopy := reg.Counter("shuffle.serves_zerocopy")
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if sendfile.Value() == int64(len(payload)) && zerocopy.Value() == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sendfile_bytes = %d (want %d), serves_zerocopy = %d (want 2: one sendfile, one ReaderFrom)",
+				sendfile.Value(), len(payload), zerocopy.Value())
+		}
 	}
 }
 

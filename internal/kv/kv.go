@@ -250,6 +250,12 @@ func ReadKeyList(b []byte) (KeyList, int, error) {
 	if cnt < 0 {
 		return KeyList{}, 0, fmt.Errorf("kv: negative value count %d", cnt)
 	}
+	// Every value carries at least a one-byte length prefix, so a count
+	// above the bytes remaining is corrupt — reject it before it sizes
+	// the allocation below.
+	if cnt > int64(len(b)-n) {
+		return KeyList{}, 0, fmt.Errorf("kv: value count %d exceeds the %d bytes remaining", cnt, len(b)-n)
+	}
 	kl := KeyList{Key: k, Values: make([][]byte, 0, cnt)}
 	for i := int64(0); i < cnt; i++ {
 		v, used, err := ReadBytes(b[n:])

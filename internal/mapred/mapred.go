@@ -116,7 +116,7 @@ type Job struct {
 	// in-process world is a single node), so duplicate keys fold across
 	// co-located mappers before shipping; on the hadoop engine the flag of
 	// the same name on hadoop.Config merges co-located map outputs behind
-	// the shuffle server. Requires the arena send buffer (not LegacySend).
+	// the shuffle server.
 	NodeCombine bool
 	// Partitioner overrides MPI-D's hash-mod default.
 	Partitioner core.PartitionFunc
@@ -126,11 +126,6 @@ type Job struct {
 	SpillThreshold int
 	SortValues     bool
 	Async          bool
-	// LegacySend and LegacyGroup select MPI-D's pre-optimization send
-	// buffer and grouped drain (core.Config knobs of the same names) — the
-	// A/B baseline the mpidbench harness measures the fast path against.
-	LegacySend  bool
-	LegacyGroup bool
 	// Pool passes a shared buffer pool through to core.Config.Pool.
 	Pool *bufpool.Pool
 	// MaxTaskAttempts is how many times a failing map task is retried
@@ -218,7 +213,7 @@ func Run(job Job, splits []Split, nMappers int) (*Result, error) {
 // rank count the job needs (1 master + NumReducers + nMappers) and returns
 // the world to execute on. The world is closed when the job finishes. The
 // transport equivalence suite uses this to run the identical job over the
-// chan, ring and TCP transports and compare outputs byte for byte.
+// chan and TCP transports and compare outputs byte for byte.
 func RunOnWorld(job Job, splits []Split, nMappers int, newWorld func(n int) (*mpi.World, error)) (*Result, error) {
 	if job.Mapper == nil || job.Reducer == nil {
 		return nil, errors.New("mapred: job needs Mapper and Reducer")
@@ -264,8 +259,6 @@ func RunOnWorld(job Job, splits []Split, nMappers int, newWorld func(n int) (*mp
 			SpillThreshold: job.SpillThreshold,
 			SortValues:     job.SortValues,
 			Async:          job.Async,
-			LegacySend:     job.LegacySend,
-			LegacyGroup:    job.LegacyGroup,
 			NodeArena:      nodeArena,
 			Pool:           job.Pool,
 		}

@@ -8,7 +8,7 @@ import (
 // benchPingPong drives a 2-rank ping-pong of size-byte messages over w and
 // reports ns/op and allocs/op for the full send→recv path. Received
 // buffers are returned to the transport's receive pool when it has one
-// (TCP, ring copy mode), matching what MPI-D's merge receiver does — the
+// (TCP), matching what MPI-D's merge receiver does — the
 // 0 allocs/op target only holds when consumers recycle.
 func benchPingPong(b *testing.B, w *World, size int) {
 	payload := make([]byte, size)
@@ -61,30 +61,8 @@ func benchPingPong(b *testing.B, w *World, size int) {
 	}
 }
 
-// BenchmarkRingRoundtrip ping-pongs over the shared-memory-style ring
-// transport in both payload modes: the default zero-copy hand-off and the
-// CopyPayloads device emulation (inline slot copy for eager sizes, pooled
-// arena for rendezvous sizes). Both must stay at 0 allocs/op.
-func BenchmarkRingRoundtrip(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		cfg  RingConfig
-	}{
-		{"zerocopy", RingConfig{}},
-		{"copy", RingConfig{CopyPayloads: true}},
-	} {
-		for _, size := range []int{16, 1 << 10, 32 << 10} {
-			b.Run(fmt.Sprintf("%s/%dB", mode.name, size), func(b *testing.B) {
-				w := NewRingWorldConfig(2, mode.cfg)
-				defer w.Close()
-				benchPingPong(b, w, size)
-			})
-		}
-	}
-}
-
-// BenchmarkChanRoundtrip is the in-process chan-transport baseline the
-// ring is gated against (bench-check: ring p50 ≤ chan p50 at small sizes).
+// BenchmarkChanRoundtrip ping-pongs over the in-process chan transport,
+// the zero-copy reference the TCP numbers are read against.
 func BenchmarkChanRoundtrip(b *testing.B) {
 	for _, size := range []int{16, 1 << 10, 32 << 10} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
@@ -95,28 +73,20 @@ func BenchmarkChanRoundtrip(b *testing.B) {
 	}
 }
 
-// BenchmarkTCPVectoredSend compares the vectored (writev) TCP framing
-// against the legacy bufio copy-then-flush path at an eager and a
-// rendezvous size. Rendezvous is where writev pays most visibly: header
-// and payload leave in one syscall instead of a flush plus a write.
+// BenchmarkTCPVectoredSend ping-pongs over the vectored (writev) TCP
+// framing at an eager and a rendezvous size. Rendezvous is where writev
+// pays most visibly: pending frames, header and payload leave in one
+// syscall.
 func BenchmarkTCPVectoredSend(b *testing.B) {
-	for _, framing := range []struct {
-		name   string
-		legacy bool
-	}{
-		{"vectored", false},
-		{"legacy", true},
-	} {
-		for _, size := range []int{1 << 10, 256 << 10} {
-			b.Run(fmt.Sprintf("%s/%dKB", framing.name, size>>10), func(b *testing.B) {
-				w, err := NewTCPWorldOptions(2, TCPOptions{LegacyFraming: framing.legacy})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer w.Close()
-				benchPingPong(b, w, size)
-			})
-		}
+	for _, size := range []int{1 << 10, 256 << 10} {
+		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
+			w, err := NewTCPWorld(2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			benchPingPong(b, w, size)
+		})
 	}
 }
 

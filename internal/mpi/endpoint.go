@@ -6,39 +6,15 @@ import (
 
 // endpoint is one rank's receive side: an unexpected-message queue plus the
 // blocking matched-receive machinery. The in-process and TCP transports
-// deliver into an endpoint via deliver; the ring transport instead attaches
-// a pump and lets the receiving rank drive its own progress. Receive
-// semantics are identical across transports either way.
+// deliver into an endpoint via deliver, so receive semantics are identical
+// across transports.
 type endpoint struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []Message // arrival order preserved; scanned for envelope match
 	closed bool
-
-	// pump, when set, is the transport's receiver-driven progress engine
-	// (the ring transport): instead of a delivery goroutine pushing into
-	// the queue, whichever receiver is blocked takes the pump role, drains
-	// the transport and matches in place. pumping marks the role taken;
-	// both fields are guarded by mu, and pump methods are only ever called
-	// by the role holder (or by a mu holder for the non-blocking tryPop),
-	// so the transport side needs no extra synchronization.
-	pump    pump
-	pumping bool
-	nwait   int // receivers blocked in cond.Wait; broadcasts skip when zero
+	nwait  int // receivers blocked in cond.Wait; broadcasts skip when zero
 }
-
-// pump is the receiver-driven progress interface a transport may attach to
-// an endpoint. tryPop never blocks; waitNext blocks until a message is
-// available or the transport shuts down (second result false).
-type pump interface {
-	tryPop() (Message, bool)
-	waitNext() (Message, bool)
-}
-
-// pumpDrainLimit bounds how many messages a non-blocking tryRecv/iprobe
-// pulls from the pump in one call, so a firehose sender cannot pin a
-// non-blocking caller inside the drain loop.
-const pumpDrainLimit = 1024
 
 func newEndpoint() *endpoint {
 	ep := &endpoint{}
@@ -59,8 +35,8 @@ func (ep *endpoint) deliver(m Message) error {
 }
 
 // wakeLocked broadcasts to blocked receivers, skipping the (cheap but not
-// free) notify when nobody waits — the common case on the ping-pong fast
-// path, where the sole receiver holds the pump role instead of a cond slot.
+// free) notify when nobody waits — the common case when a sender runs
+// ahead of its receiver.
 func (ep *endpoint) wakeLocked() {
 	if ep.nwait > 0 {
 		ep.cond.Broadcast()
@@ -110,36 +86,7 @@ func (ep *endpoint) removeLocked(i int) Message {
 	return m
 }
 
-// drainPumpLocked pulls already-published messages from the pump into the
-// queue without blocking. Called with mu held; holding mu while the pump
-// role is free makes the caller the de-facto role holder, so tryPop is
-// safe. Wakes matchers when anything arrived.
-func (ep *endpoint) drainPumpLocked() {
-	if ep.pump == nil || ep.pumping {
-		return
-	}
-	n := 0
-	for n < pumpDrainLimit {
-		m, ok := ep.pump.tryPop()
-		if !ok {
-			break
-		}
-		ep.queue = append(ep.queue, m)
-		n++
-	}
-	if n > 0 {
-		ep.wakeLocked()
-	}
-}
-
 // recv blocks until a message matching (source, tag) arrives and returns it.
-//
-// With a pump attached, the first blocked receiver takes the pump role and
-// drives transport progress itself: it drains published messages, returns
-// its own match directly (skipping the queue — safe, because the loop top
-// already proved no earlier queued match exists, and per-source FIFO pop
-// order preserves non-overtaking), queues everything else for the other
-// waiters, and hands the role over when it leaves.
 func (ep *endpoint) recv(comm, source, tag int) (Message, error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
@@ -149,27 +96,6 @@ func (ep *endpoint) recv(comm, source, tag int) (Message, error) {
 		}
 		if ep.closed {
 			return Message{}, ErrWorldClosed
-		}
-		if ep.pump != nil && !ep.pumping {
-			ep.pumping = true
-			ep.mu.Unlock()
-			m, ok := ep.pump.waitNext()
-			ep.mu.Lock()
-			ep.pumping = false
-			if !ok {
-				// Transport shut down under us; nothing matched before we
-				// took the role and only the role holder appends, so there
-				// is no match to salvage.
-				ep.wakeLocked()
-				return Message{}, ErrWorldClosed
-			}
-			if matches(m, comm, source, tag) {
-				ep.wakeLocked() // hand the pump role to a waiter
-				return m, nil
-			}
-			ep.queue = append(ep.queue, m)
-			ep.wakeLocked()
-			continue
 		}
 		ep.waitLocked()
 	}
@@ -182,10 +108,6 @@ func (ep *endpoint) tryRecv(comm, source, tag int) (Message, bool, error) {
 	if i := ep.findLocked(comm, source, tag); i >= 0 {
 		return ep.removeLocked(i), true, nil
 	}
-	ep.drainPumpLocked()
-	if i := ep.findLocked(comm, source, tag); i >= 0 {
-		return ep.removeLocked(i), true, nil
-	}
 	if ep.closed {
 		return Message{}, false, ErrWorldClosed
 	}
@@ -193,8 +115,7 @@ func (ep *endpoint) tryRecv(comm, source, tag int) (Message, bool, error) {
 }
 
 // probe blocks until a matching message is queued and returns its status
-// without consuming it. A probing pump-role holder always queues what it
-// pops — probe must never consume.
+// without consuming it.
 func (ep *endpoint) probe(comm, source, tag int) (Status, error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
@@ -206,19 +127,6 @@ func (ep *endpoint) probe(comm, source, tag int) (Status, error) {
 		if ep.closed {
 			return Status{}, ErrWorldClosed
 		}
-		if ep.pump != nil && !ep.pumping {
-			ep.pumping = true
-			ep.mu.Unlock()
-			m, ok := ep.pump.waitNext()
-			ep.mu.Lock()
-			ep.pumping = false
-			ep.wakeLocked()
-			if !ok {
-				return Status{}, ErrWorldClosed
-			}
-			ep.queue = append(ep.queue, m)
-			continue
-		}
 		ep.waitLocked()
 	}
 }
@@ -227,11 +135,6 @@ func (ep *endpoint) probe(comm, source, tag int) (Status, error) {
 func (ep *endpoint) iprobe(comm, source, tag int) (Status, bool, error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if i := ep.findLocked(comm, source, tag); i >= 0 {
-		m := ep.queue[i]
-		return Status{Source: m.Source, Tag: m.Tag, Size: len(m.Data)}, true, nil
-	}
-	ep.drainPumpLocked()
 	if i := ep.findLocked(comm, source, tag); i >= 0 {
 		m := ep.queue[i]
 		return Status{Source: m.Source, Tag: m.Tag, Size: len(m.Data)}, true, nil

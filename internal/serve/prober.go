@@ -164,6 +164,11 @@ func (p *Prober) loop() {
 
 // tick probes every live tracker once, concurrently, and delivers verdicts.
 func (p *Prober) tick() {
+	if p.cc.Finished() {
+		// The job is over and its trackers are shutting down: their
+		// silence now is teardown, not death.
+		return
+	}
 	trackers := p.cc.Trackers()
 	var wg sync.WaitGroup
 	for _, tr := range trackers {
@@ -201,7 +206,9 @@ func (p *Prober) probe(tr hadoop.TrackerState) {
 		p.states[tr.ID] = ps
 	}
 	ps.record(ok, rtt, p.cfg.Window)
-	deliver := !ps.verdict && ps.consecLoss >= p.cfg.DeadAfter
+	// A probe that started before the job finished may fail against a
+	// tracker already torn down; judge it only while the job still runs.
+	deliver := !ps.verdict && ps.consecLoss >= p.cfg.DeadAfter && !p.cc.Finished()
 	if deliver {
 		ps.verdict = true
 	}

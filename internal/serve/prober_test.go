@@ -42,6 +42,9 @@ func (f *fakeCC) MarkLost(id int) bool {
 	return true
 }
 
+// Finished is always false: the scripted job never ends.
+func (f *fakeCC) Finished() bool { return false }
+
 func (f *fakeCC) calls() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

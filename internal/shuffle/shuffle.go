@@ -259,8 +259,8 @@ type Config struct {
 	// equal-key value groups out of seq order in the final stream; folding
 	// a seq-prefix cannot, because a pass output's seq is the batch minimum
 	// and every run left behind has a larger seq. MPI-D's grouped receiver
-	// relies on this to stay byte-identical with the legacy arrival-order
-	// drain. Costs the smallest-runs heuristic, so only set it when the
+	// relies on this to deliver each key's values in arrival order. Costs
+	// the smallest-runs heuristic, so only set it when the
 	// emitted value order matters.
 	Ordered bool
 	// OnPass, when set, observes every completed intermediate pass — the

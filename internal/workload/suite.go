@@ -32,7 +32,7 @@ func observedCombiner(r mapred.Reducer) func(*metrics.Registry) core.CombineFunc
 // workloads from "Sorting, Searching, and Simulation in the MapReduce
 // Framework": a sampled-range-partitioner TeraSort, inverted index, grep,
 // a two-table join, and an iterative PageRank, each built so its output is
-// byte-identical across the fast core, legacy core and hadoop engines —
+// byte-identical across the MPI-D core and the hadoop engine —
 // reducers canonicalize value order internally instead of depending on
 // arrival order, which no engine guarantees.
 //
